@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, CopslError, InputError, UnsupportedError
-from .metrics import hv_2d, hv_3d, read_front_csv, write_front_csv
+from .metrics import hypervolume, read_front_csv, write_front_csv
 from .model import load_checkpoint
 from .problems import builtin_suite, suite_from_names
 from .sampling import uniform_preference_grid
@@ -137,13 +137,7 @@ def cmd_hv(args) -> int:
             f"reference point has {reference.shape[0]} components but the front has "
             f"{points.shape[1]} objectives"
         )
-    if points.shape[1] == 2:
-        value = hv_2d(points, reference)
-    elif points.shape[1] == 3:
-        value = hv_3d(points, reference)
-    else:
-        raise ConfigurationError("hypervolume is implemented for 2 or 3 objectives")
-    print(f"{value:.12g}")
+    print(f"{hypervolume(points, reference):.12g}")
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError
 from .ioutil import atomic_write_text
 from .sampling import RngStream
 
@@ -106,6 +106,16 @@ def hv_3d(points, reference) -> float:
     return float(volume)
 
 
+def hypervolume(points, reference) -> float:
+    """Exact hypervolume, by the reference point's length: 2 or 3 objectives."""
+    m = len(reference)
+    if m == 2:
+        return hv_2d(points, reference)
+    if m == 3:
+        return hv_3d(points, reference)
+    raise UnsupportedError(f"exact hypervolume is implemented for 2 or 3 objectives, got {m}")
+
+
 def hv_monte_carlo(points, reference, samples: int, rng: RngStream) -> tuple[float, float]:
     """Monte Carlo hypervolume estimate with its binomial standard error.
 
@@ -152,8 +162,11 @@ def log_hv_diff(hv_true: float, hv_learned: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), CSV_FLOAT_FORMAT)
+def csv_float(value) -> str:
+    """A float as written to every CSV file, with None as nan."""
+    if value is None:
+        return "nan"
+    return format(float(value), CSV_FLOAT_FORMAT)
 
 
 def write_front_csv(path: str, points, reference) -> None:
@@ -165,10 +178,10 @@ def write_front_csv(path: str, points, reference) -> None:
         raise InputError(f"reference point must have length {pts.shape[1]}")
     m = pts.shape[1]
     lines = [
-        "# m=%d reference=%s" % (m, ",".join(_fmt(r) for r in ref)),
+        "# m=%d reference=%s" % (m, ",".join(csv_float(r) for r in ref)),
         ",".join(f"f{j + 1}" for j in range(m)),
     ]
-    lines.extend(",".join(_fmt(v) for v in row) for row in pts)
+    lines.extend(",".join(csv_float(v) for v in row) for row in pts)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

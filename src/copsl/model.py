@@ -7,17 +7,23 @@ layer) maps that representation to a point in the problem's unit cube. The
 backward pass routes gradients asymmetrically: each head receives only its
 own problem's gradient, while the trunk accumulates the weighted sum over
 problems.
+
+All parameters live in one contiguous float64 vector laid out by
+:func:`param_layout`; the layers are views into it. Gradients and the
+optimizer's moments are vectors of the same layout.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, InputError, InternalError
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes
 from .nn import DenseLayer, ForwardCache, init_layer, layer_backward, layer_forward
 from .sampling import RngStream
 
@@ -59,19 +65,6 @@ class ModelArchitecture:
     def num_mops(self) -> int:
         return len(self.output_dims)
 
-    def trunk_plan(self) -> list[tuple[int, int]]:
-        dims = (self.num_objectives,) + self.hidden_sizes
-        return [(dims[i], dims[i + 1]) for i in range(self.shared_depth)]
-
-    def head_plan(self, mop_index: int) -> list[tuple[int, int, str]]:
-        dims = (self.num_objectives,) + self.hidden_sizes
-        plan = [
-            (dims[i], dims[i + 1], "relu")
-            for i in range(self.shared_depth, len(self.hidden_sizes))
-        ]
-        plan.append((dims[len(self.hidden_sizes)], self.output_dims[mop_index], "sigmoid"))
-        return plan
-
     def to_dict(self) -> dict:
         return {
             "num_objectives": self.num_objectives,
@@ -94,12 +87,102 @@ class ModelArchitecture:
 
 
 @dataclass(frozen=True)
+class LayerSlot:
+    """Where one layer's parameters sit in the flat parameter vector.
+
+    ``mop`` is the head's problem index, or None for a trunk layer; ``depth``
+    is the layer's position within the trunk or its head. The weights
+    (fan_out, fan_in) occupy ``weights``, the biases follow in ``biases``.
+    """
+
+    mop: Optional[int]
+    depth: int
+    fan_in: int
+    fan_out: int
+    activation: str
+    weights: slice
+    biases: slice
+
+    @property
+    def span(self) -> slice:
+        """The layer's weights and biases together."""
+        return slice(self.weights.start, self.biases.stop)
+
+    def describe(self) -> str:
+        return f"trunk layer {self.depth}" if self.mop is None else f"head {self.mop} layer {self.depth}"
+
+
+@functools.lru_cache(maxsize=64)
+def param_layout(arch: ModelArchitecture) -> tuple[LayerSlot, ...]:
+    """Where every layer's parameters sit in a flat vector: trunk first, then
+    heads in problem order, each layer's weights before its biases."""
+    dims = (arch.num_objectives,) + arch.hidden_sizes
+    plan = [(None, j, dims[j], dims[j + 1], "relu") for j in range(arch.shared_depth)]
+    for i, out_dim in enumerate(arch.output_dims):
+        sizes = dims[arch.shared_depth :] + (out_dim,)
+        last = len(sizes) - 2
+        plan.extend(
+            (i, j, sizes[j], sizes[j + 1], "sigmoid" if j == last else "relu")
+            for j in range(last + 1)
+        )
+    slots = []
+    offset = 0
+    for mop, depth, fan_in, fan_out, activation in plan:
+        mid = offset + fan_out * fan_in
+        slots.append(
+            LayerSlot(mop, depth, fan_in, fan_out, activation, slice(offset, mid), slice(mid, mid + fan_out))
+        )
+        offset = mid + fan_out
+    return tuple(slots)
+
+
+def _size(arch: ModelArchitecture) -> int:
+    return param_layout(arch)[-1].span.stop
+
+
+def _layer_views(arch: ModelArchitecture, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, biases) views into a flat vector, one pair per layer in layout order."""
+    return [
+        (vector[s.weights].reshape(s.fan_out, s.fan_in), vector[s.biases])
+        for s in param_layout(arch)
+    ]
+
+
+def _trunk_and_heads(arch: ModelArchitecture, items: list):
+    """Group a per-layer list in layout order into the trunk's and each head's."""
+    owners = [s.mop for s in param_layout(arch)]
+    trunk = [x for x, owner in zip(items, owners) if owner is None]
+    heads = [[x for x, owner in zip(items, owners) if owner == i] for i in range(arch.num_mops)]
+    return trunk, heads
+
+
+@dataclass(frozen=True, eq=False)
 class CoPslModel:
-    """Trunk layers plus one layer stack per problem."""
+    """One flat float64 parameter vector laid out by :func:`param_layout`.
+
+    ``trunk`` and ``heads`` are layers whose arrays are views into
+    ``params``, built once: updating ``params`` in place updates the layers.
+    """
 
     arch: ModelArchitecture
-    trunk: tuple[DenseLayer, ...]
-    heads: tuple[tuple[DenseLayer, ...], ...]
+    params: np.ndarray
+    trunk: tuple[DenseLayer, ...] = field(init=False, repr=False)
+    heads: tuple[tuple[DenseLayer, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        params = self.params
+        size = _size(self.arch)
+        if not (isinstance(params, np.ndarray) and params.dtype == np.float64 and params.flags.c_contiguous):
+            raise ConfigurationError("params must be a contiguous float64 array")
+        if params.shape != (size,):
+            raise ConfigurationError(f"expected {size} parameters, got shape {params.shape}")
+        layers = [
+            DenseLayer(weights=w, biases=b, activation=s.activation)
+            for (w, b), s in zip(_layer_views(self.arch, params), param_layout(self.arch))
+        ]
+        trunk, heads = _trunk_and_heads(self.arch, layers)
+        object.__setattr__(self, "trunk", tuple(trunk))
+        object.__setattr__(self, "heads", tuple(tuple(h) for h in heads))
 
 
 @dataclass
@@ -108,40 +191,18 @@ class ForwardCaches:
     heads: list[list[ForwardCache]]
 
 
-@dataclass
-class ParamGrads:
-    """Gradients shaped like the model: per-layer (d_weights, d_biases)."""
-
-    trunk: list[tuple[np.ndarray, np.ndarray]]
-    heads: list[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
-
-    def arrays(self) -> list[np.ndarray]:
-        flat: list[np.ndarray] = []
-        for dw, db in self.trunk:
-            flat.extend((dw, db))
-        for head in self.heads:
-            for dw, db in head:
-                flat.extend((dw, db))
-        return flat
-
-
 def build_model(arch: ModelArchitecture, rng: RngStream) -> CoPslModel:
     """Initialize a model for the given architecture.
 
-    Layers are drawn in a fixed order (trunk first, then heads in problem
-    order), so identical streams give bitwise-identical models.
+    Layers are drawn in layout order, so identical streams give
+    bitwise-identical models.
     """
-    trunk = tuple(
-        init_layer(rng, fan_in, fan_out, "relu") for fan_in, fan_out in arch.trunk_plan()
-    )
-    heads = tuple(
-        tuple(
-            init_layer(rng, fan_in, fan_out, activation)
-            for fan_in, fan_out, activation in arch.head_plan(i)
-        )
-        for i in range(arch.num_mops)
-    )
-    return CoPslModel(arch=arch, trunk=trunk, heads=heads)
+    params = np.empty(_size(arch))
+    for slot in param_layout(arch):
+        layer = init_layer(rng, slot.fan_in, slot.fan_out, slot.activation)
+        params[slot.weights] = layer.weights.ravel()
+        params[slot.biases] = layer.biases
+    return CoPslModel(arch=arch, params=params)
 
 
 def _check_preferences(prefs: np.ndarray, num_objectives: int) -> np.ndarray:
@@ -179,12 +240,12 @@ def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], Forwa
     return outputs, ForwardCaches(trunk=trunk_caches, heads=head_caches)
 
 
-def backward_all(model: CoPslModel, caches: ForwardCaches, output_grads, weights) -> ParamGrads:
+def backward_all(model: CoPslModel, caches: ForwardCaches, output_grads, weights) -> np.ndarray:
     """Route gradients: own loss per head, weighted sum into the trunk.
 
-    ``output_grads[i]`` is dL_i/d(head-i output). Head i's parameter
-    gradients are exactly the backpropagation of L_i; trunk parameter
-    gradients are the backpropagation of sum_i w_i L_i.
+    ``output_grads[i]`` is dL_i/d(head-i output). Returns one flat vector laid
+    out like ``model.params``: head i's part is exactly the backpropagation of
+    L_i, the trunk's part the backpropagation of sum_i w_i L_i.
     """
     arch = model.arch
     w = np.asarray(weights, dtype=np.float64)
@@ -195,28 +256,24 @@ def backward_all(model: CoPslModel, caches: ForwardCaches, output_grads, weights
     if len(output_grads) != arch.num_mops:
         raise InternalError(f"expected {arch.num_mops} output gradients, got {len(output_grads)}")
 
-    head_grads: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    grads = np.empty_like(model.params)
+    trunk_views, head_views = _trunk_and_heads(arch, _layer_views(arch, grads))
     trunk_upstream: np.ndarray | None = None
     for i, head in enumerate(model.heads):
         upstream = np.asarray(output_grads[i], dtype=np.float64)
-        grads_rev: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer, cache in zip(reversed(head), reversed(caches.heads[i])):
+        for layer, cache, (gw, gb) in zip(reversed(head), reversed(caches.heads[i]), reversed(head_views[i])):
             if upstream.shape != cache.pre_activation.shape:
                 raise InternalError(
                     f"gradient shape {upstream.shape} does not match head {i} cache"
                 )
-            dw, db, upstream = layer_backward(layer, cache, upstream)
-            grads_rev.append((dw, db))
-        head_grads.append(grads_rev[::-1])
+            gw[...], gb[...], upstream = layer_backward(layer, cache, upstream)
         contribution = w[i] * upstream
         trunk_upstream = contribution if trunk_upstream is None else trunk_upstream + contribution
 
-    trunk_grads: list[tuple[np.ndarray, np.ndarray]] = []
     upstream = trunk_upstream
-    for layer, cache in zip(reversed(model.trunk), reversed(caches.trunk)):
-        dw, db, upstream = layer_backward(layer, cache, upstream)
-        trunk_grads.append((dw, db))
-    return ParamGrads(trunk=trunk_grads[::-1], heads=head_grads)
+    for layer, cache, (gw, gb) in zip(reversed(model.trunk), reversed(caches.trunk), reversed(trunk_views)):
+        gw[...], gb[...], upstream = layer_backward(layer, cache, upstream)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +281,14 @@ def backward_all(model: CoPslModel, caches: ForwardCaches, output_grads, weights
 # ---------------------------------------------------------------------------
 
 
-def iter_layers(model: CoPslModel):
-    """All layers in canonical order: trunk, then heads in problem order."""
-    yield from model.trunk
-    for head in model.heads:
-        yield from head
-
-
 def parameter_arrays(model: CoPslModel) -> list[np.ndarray]:
-    flat: list[np.ndarray] = []
-    for layer in iter_layers(model):
-        flat.extend((layer.weights, layer.biases))
-    return flat
-
-
-def with_parameters(model: CoPslModel, arrays) -> CoPslModel:
-    """Rebuild the model from a flat array list in canonical order."""
-    it = iter(arrays)
-
-    def rebuild(layer: DenseLayer) -> DenseLayer:
-        weights = next(it)
-        biases = next(it)
-        if weights.shape != layer.weights.shape or biases.shape != layer.biases.shape:
-            raise InternalError("replacement parameters have the wrong shape")
-        return DenseLayer(weights=weights, biases=biases, activation=layer.activation)
-
-    trunk = tuple(rebuild(layer) for layer in model.trunk)
-    heads = tuple(tuple(rebuild(layer) for layer in head) for head in model.heads)
-    return CoPslModel(arch=model.arch, trunk=trunk, heads=heads)
+    """Every layer's weights and biases, in layout order, as views into ``model.params``."""
+    return [a for pair in _layer_views(model.arch, model.params) for a in pair]
 
 
 def count_params(model: CoPslModel) -> int:
     """Total scalar parameters: sum of fan_in * fan_out + fan_out per layer."""
-    return sum(layer.weights.size + layer.biases.size for layer in iter_layers(model))
+    return model.params.size
 
 
 def count_flops(model: CoPslModel, batch: int) -> int:
@@ -267,7 +299,7 @@ def count_flops(model: CoPslModel, batch: int) -> int:
     """
     if batch < 1:
         raise InputError(f"batch must be >= 1, got {batch}")
-    return batch * sum(2 * layer.weights.size for layer in iter_layers(model))
+    return batch * sum(2 * s.fan_in * s.fan_out for s in param_layout(model.arch))
 
 
 def enumerate_shared_variants(
@@ -298,8 +330,7 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
     """Write a self-describing checkpoint.
 
     Layout: one JSON header line (format name, version, architecture,
-    optional metadata), then the raw little-endian float64 parameter data in
-    canonical layer order, weights before biases.
+    optional metadata), then ``model.params`` as raw little-endian float64.
     """
     header = {
         "format": CHECKPOINT_MAGIC,
@@ -307,9 +338,7 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
         "architecture": model.arch.to_dict(),
         "metadata": metadata or {},
     }
-    body = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in parameter_arrays(model)
-    )
+    body = model.params.astype("<f8", copy=False).tobytes()
     atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
 
 
@@ -342,43 +371,11 @@ def load_checkpoint(path: str, expected_objectives: int | None = None) -> tuple[
             f"checkpoint has {arch.num_objectives} objectives, expected {expected_objectives}"
         )
 
-    shapes: list[tuple[int, ...]] = []
-    for fan_in, fan_out in arch.trunk_plan():
-        shapes.extend([(fan_out, fan_in), (fan_out,)])
-    for i in range(arch.num_mops):
-        for fan_in, fan_out, _ in arch.head_plan(i):
-            shapes.extend([(fan_out, fan_in), (fan_out,)])
-    expected_bytes = 8 * sum(int(np.prod(s)) for s in shapes)
+    expected_bytes = 8 * _size(arch)
     body = raw[newline + 1 :]
     if len(body) != expected_bytes:
         raise CheckpointError(
             f"checkpoint body has {len(body)} bytes, expected {expected_bytes} (truncated or padded)"
         )
-
-    flat = np.frombuffer(body, dtype="<f8")
-    arrays: list[np.ndarray] = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[offset : offset + size].reshape(shape).astype(np.float64))
-        offset += size
-
-    it = iter(arrays)
-    trunk = tuple(
-        DenseLayer(weights=next(it), biases=next(it), activation="relu")
-        for _ in arch.trunk_plan()
-    )
-    heads = tuple(
-        tuple(
-            DenseLayer(weights=next(it), biases=next(it), activation=activation)
-            for _, _, activation in arch.head_plan(i)
-        )
-        for i in range(arch.num_mops)
-    )
-    metadata = header.get("metadata", {})
-    return CoPslModel(arch=arch, trunk=trunk, heads=heads), metadata
-
-
-def export_architecture(arch: ModelArchitecture, path: str) -> None:
-    """Write the architecture alone as standalone JSON."""
-    atomic_write_text(path, json.dumps(arch.to_dict(), indent=2, sort_keys=True) + "\n")
+    params = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    return CoPslModel(arch=arch, params=params), header.get("metadata", {})

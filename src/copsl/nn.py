@@ -1,8 +1,9 @@
 """Dense-layer primitives with exact forward and backward passes.
 
-All arithmetic is float64. Layers are immutable values: the optimizer builds
-new layers rather than mutating arrays in place, so a layer can be shared
-safely across concurrent read-only users.
+All arithmetic is float64. A layer is validated once, when it is built, and
+holds its arrays by reference: a model's layers are views into its flat
+parameter vector, so an in-place optimizer step shows through them without
+rebuilding any layer.
 """
 
 from __future__ import annotations

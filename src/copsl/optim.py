@@ -1,4 +1,4 @@
-"""Adam with bias correction, applied to the model's routed gradients."""
+"""Adam with bias correction, updating a flat parameter vector in place."""
 
 from __future__ import annotations
 
@@ -7,65 +7,56 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalError
-from .model import CoPslModel, ParamGrads, parameter_arrays, with_parameters
+
+# Elements per pass of the update: 256 KiB of float64, so its temporaries
+# stay cache-sized instead of adding whole-vector copies to peak memory.
+CHUNK = 1 << 15
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators aligned with the parameter order."""
+    """First/second moment vectors laid out like the parameter vector."""
 
     beta1: float
     beta2: float
     epsilon: float
     step: int
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
 
 
 def init_adam_state(
-    model: CoPslModel, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8
+    params: np.ndarray, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8
 ) -> AdamState:
-    params = parameter_arrays(model)
     return AdamState(
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
         step=0,
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
+        first_moment=np.zeros_like(params),
+        second_moment=np.zeros_like(params),
     )
 
 
-def adam_step(
-    model: CoPslModel, grads: ParamGrads, state: AdamState, learning_rate: float
-) -> tuple[CoPslModel, AdamState]:
-    """One bias-corrected Adam update.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float) -> None:
+    """One bias-corrected Adam update of ``params``, the state advanced in place.
 
-    Returns a fresh model (layers are immutable) and the advanced state; the
-    moment accumulators are updated in place.
+    The update is elementwise, so it runs over cache-sized chunks: the
+    temporaries stay small and the result is the same, bit for bit.
     """
     if not learning_rate > 0.0:
         raise InputError(f"learning rate must be positive, got {learning_rate}")
-    params = parameter_arrays(model)
-    grad_arrays = grads.arrays()
-    if len(params) != len(grad_arrays):
-        raise InternalError(
-            f"model has {len(params)} parameter tensors but got {len(grad_arrays)} gradients"
-        )
-
+    if grads.shape != params.shape:
+        raise InternalError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
     t = state.step + 1
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    updated: list[np.ndarray] = []
-    for p, g, m, v in zip(params, grad_arrays, state.first_moment, state.second_moment):
-        if g.shape != p.shape:
-            raise InternalError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+    for start in range(0, params.size, CHUNK):
+        part = slice(start, start + CHUNK)
+        p, g, m, v = params[part], grads[part], state.first_moment[part], state.second_moment[part]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        updated.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        p -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
     state.step = t
-    return with_parameters(model, updated), state

@@ -479,10 +479,6 @@ def get_problem(name: str) -> MopDefinition:
         ) from None
 
 
-def available_problems() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
 def register_evaluator(
     name: str,
     evaluate_batch: Callable[[np.ndarray], np.ndarray],

@@ -72,9 +72,6 @@ class IdealPointTracker:
     def ideal(self, mop_index: int) -> np.ndarray:
         return self._z[mop_index].copy()
 
-    def snapshot(self) -> np.ndarray:
-        return self._z.copy()
-
 
 def _as_batch(objectives, preferences):
     f = np.asarray(objectives, dtype=np.float64)

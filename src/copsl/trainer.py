@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, CopslError, TrainingDivergedError, UnsupportedError
+from .errors import ConfigurationError, CopslError, TrainingDivergedError
 from .ioutil import atomic_write_text
-from .metrics import CSV_FLOAT_FORMAT, hv_2d, hv_3d, log_hv_diff, nondominated_filter
+from .metrics import csv_float, hypervolume, log_hv_diff, nondominated_filter
 from .model import (
     CoPslModel,
     ModelArchitecture,
@@ -29,7 +29,7 @@ from .model import (
     count_flops,
     count_params,
     forward_all,
-    parameter_arrays,
+    param_layout,
     save_checkpoint,
 )
 from .optim import adam_step, init_adam_state
@@ -186,14 +186,6 @@ def _eval_steps(iterations: int, interval: int) -> list[int]:
     return steps
 
 
-def _hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
-    if reference.shape[0] == 2:
-        return hv_2d(points, reference)
-    if reference.shape[0] == 3:
-        return hv_3d(points, reference)
-    raise UnsupportedError("exact hypervolume is implemented for 2 or 3 objectives")
-
-
 def evaluate_model(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> EvalReport:
     """Push a deterministic preference grid through the model and score it.
 
@@ -211,7 +203,7 @@ def evaluate_model(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> 
         x, _ = map_unit_to_box(outputs[i], mop.bounds)
         objectives = mop.evaluate(x)
         front = nondominated_filter(objectives)
-        hv = _hypervolume(front, mop.reference_point)
+        hv = hypervolume(front, mop.reference_point)
         fronts.append(front)
         hypervolumes.append(hv)
         if mop.front_hypervolume is not None:
@@ -222,10 +214,17 @@ def evaluate_model(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> 
 
 
 def _param_digest(model: CoPslModel) -> str:
-    digest = hashlib.sha256()
-    for array in parameter_arrays(model):
-        digest.update(array.tobytes())
-    return digest.hexdigest()
+    return hashlib.sha256(model.params).hexdigest()
+
+
+def _nonfinite_gradient_message(grads: np.ndarray, model: CoPslModel, suite: ProblemSuite, iteration: int) -> str:
+    """Name every layer whose gradient is not finite, with its head's problem."""
+    bad = []
+    for slot in param_layout(model.arch):
+        if not np.isfinite(grads[slot.span]).all():
+            owner = "" if slot.mop is None else f" (MOP '{suite.problems[slot.mop].name}')"
+            bad.append(slot.describe() + owner)
+    return f"non-finite gradient at iteration {iteration} in {', '.join(bad)}"
 
 
 def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tuple[CoPslModel, RunRecord]:
@@ -260,7 +259,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
     pref_rng = RngStream(config.seed, stream=1)
     model = build_model(arch, init_rng)
     adam = init_adam_state(
-        model, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
+        model.params, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
     tracker = IdealPointTracker(k, m, epsilon=config.epsilon)
     spec = config.loss_spec()
@@ -294,14 +293,14 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         notes=notes,
     )
 
-    def run_eval(step: int, current: CoPslModel) -> None:
-        report = evaluate_model(current, suite, grid)
+    def run_eval(step: int) -> None:
+        report = evaluate_model(model, suite, grid)
         record.eval_steps.append(step)
         record.hv.append(report.hypervolumes)
         record.log_hv_diff.append(report.log_diffs)
 
     started = time.perf_counter()
-    run_eval(0, model)
+    run_eval(0)
     for iteration in range(1, config.iterations + 1):
         prefs = sample_preferences(pref_rng, alpha, config.batch_size)
         outputs, caches = forward_all(model, prefs)
@@ -334,18 +333,19 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
 
         grads = backward_all(model, caches, output_grads, weights)
         if config.strict_weight_gating and zero_weight:
-            for i in zero_weight:
-                grads.heads[i] = [
-                    (np.zeros_like(dw), np.zeros_like(db)) for dw, db in grads.heads[i]
-                ]
-        model, adam = adam_step(model, grads, adam, config.learning_rate)
+            for slot in param_layout(arch):
+                if slot.mop in zero_weight:
+                    grads[slot.span] = 0.0
+        if not np.isfinite(grads).all():
+            raise TrainingDivergedError(_nonfinite_gradient_message(grads, model, suite, iteration))
+        adam_step(model.params, grads, adam, config.learning_rate)
 
         record.total_loss.append(total_loss(mop_losses, weights))
         record.mop_losses.append(mop_losses)
         if config.trace_params:
             record.param_trace.append(_param_digest(model))
         if iteration in eval_at:
-            run_eval(iteration, model)
+            run_eval(iteration)
     record.wall_seconds = time.perf_counter() - started
     return model, record
 
@@ -468,18 +468,12 @@ def run_batch(configs, seeds, out_dir: Optional[str] = None) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    return format(float(value), CSV_FLOAT_FORMAT)
-
-
 def write_loss_csv(record: RunRecord, path: str) -> None:
     k = len(record.mop_names)
     header = "iteration,total_loss," + ",".join(f"loss_{i + 1}" for i in range(k))
     lines = [header]
     for t, (total, per_mop) in enumerate(zip(record.total_loss, record.mop_losses), start=1):
-        lines.append(f"{t},{_fmt(total)}," + ",".join(_fmt(v) for v in per_mop))
+        lines.append(f"{t},{csv_float(total)}," + ",".join(csv_float(v) for v in per_mop))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -495,9 +489,9 @@ def write_eval_csv(record: RunRecord, path: str) -> None:
     for step, hv_row, diff_row in zip(record.eval_steps, record.hv, record.log_hv_diff):
         lines.append(
             f"{step},"
-            + ",".join(_fmt(v) for v in hv_row)
+            + ",".join(csv_float(v) for v in hv_row)
             + ","
-            + ",".join(_fmt(v) for v in diff_row)
+            + ",".join(csv_float(v) for v in diff_row)
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -507,6 +501,6 @@ def write_ablation_csv(rows, path: str) -> None:
     for row in rows:
         lines.append(
             f"{row['shared_depth']},{row['seed']},{row['mop']},"
-            f"{_fmt(row['hv'])},{_fmt(row['delta_hv'])},{row['params']}"
+            f"{csv_float(row['hv'])},{csv_float(row['delta_hv'])},{row['params']}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")

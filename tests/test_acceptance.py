@@ -13,14 +13,13 @@ import pytest
 
 from copsl.metrics import hv_2d, hv_3d, hv_monte_carlo, nondominated_filter
 from copsl.model import (
+    CoPslModel,
     ModelArchitecture,
     backward_all,
     build_model,
     count_flops,
     count_params,
     forward_all,
-    parameter_arrays,
-    with_parameters,
 )
 from copsl.problems import ProblemSuite, get_problem, map_unit_to_box, suite_from_names
 from copsl.sampling import RngStream, sample_preferences
@@ -142,24 +141,18 @@ def test_criterion_2_end_to_end_gradient_integrity():
     step = 1e-5
     worst = 0.0
     for mop, model, prefs, ideals in cases:
-        params = parameter_arrays(model)
         for spec in specs:
-            _, grads = _pipeline_loss_and_grads(mop, model, prefs, ideals, spec)
-            analytic = grads.arrays()
-            numeric = []
-            for idx in range(len(params)):
-                fd = np.empty_like(params[idx])
-                for j in range(fd.size):
-                    plus = [p.copy() for p in params]
-                    plus[idx].ravel()[j] += step
-                    hi, _ = _pipeline_loss_and_grads(mop, with_parameters(model, plus), prefs, ideals, spec)
-                    minus = [p.copy() for p in params]
-                    minus[idx].ravel()[j] -= step
-                    lo, _ = _pipeline_loss_and_grads(mop, with_parameters(model, minus), prefs, ideals, spec)
-                    fd.ravel()[j] = (hi - lo) / (2.0 * step)
-                numeric.append(fd)
-            for a, n in zip(analytic, numeric):
-                worst = max(worst, max_relative_error(a, n, floor=1e-3))
+            _, analytic = _pipeline_loss_and_grads(mop, model, prefs, ideals, spec)
+            numeric = np.empty_like(model.params)
+            for j in range(numeric.size):
+                plus = model.params.copy()
+                plus[j] += step
+                hi, _ = _pipeline_loss_and_grads(mop, CoPslModel(model.arch, plus), prefs, ideals, spec)
+                minus = model.params.copy()
+                minus[j] -= step
+                lo, _ = _pipeline_loss_and_grads(mop, CoPslModel(model.arch, minus), prefs, ideals, spec)
+                numeric[j] = (hi - lo) / (2.0 * step)
+            worst = max(worst, max_relative_error(analytic, numeric, floor=1e-3))
     report(
         2,
         "end-to-end gradients vs central differences",

@@ -133,6 +133,14 @@ class TestHv:
         write_front_csv(str(path), np.array([[0.0, 0.0]]), np.array([1.1, 1.1]))
         assert main(["hv", "--front", str(path), "--ref", "1.1,1.1,1.1"]) == 2
 
+    def test_four_objective_front_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "front.csv"
+        write_front_csv(str(path), np.array([[0.1, 0.2, 0.3, 0.4]]), np.ones(4))
+        assert main(["hv", "--front", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 or 3 objectives, got 4" in captured.err
+
     def test_embedded_reference_used_by_default(self, tmp_path, capsys):
         path = tmp_path / "front.csv"
         write_front_csv(str(path), np.array([[0.1, 0.2]]), np.array([1.0, 1.0]))

@@ -1,0 +1,121 @@
+"""Property tests of the flat parameter layout over random small architectures."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from copsl.errors import CheckpointError
+from copsl.model import (
+    ModelArchitecture,
+    build_model,
+    count_params,
+    load_checkpoint,
+    param_layout,
+    parameter_arrays,
+    save_checkpoint,
+)
+from copsl.problems import SYNTHETIC_2D, suite_from_names
+from copsl.sampling import RngStream
+from copsl.trainer import RunConfig, train_copsl
+
+
+@st.composite
+def architectures(draw):
+    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
+    return ModelArchitecture(
+        num_objectives=draw(st.integers(2, 3)),
+        hidden_sizes=hidden,
+        shared_depth=draw(st.integers(0, len(hidden))),
+        output_dims=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))),
+    )
+
+
+def checkpoint_bytes(model, tmp_path_factory) -> tuple[str, bytes]:
+    """Save ``model`` to a fresh file; returns its path and body."""
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
+    save_checkpoint(model, path)
+    raw = open(path, "rb").read()
+    return path, raw[raw.index(b"\n") + 1 :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(architectures(), st.integers(0, 2**32 - 1))
+def test_layout_tiles_params_and_layers_alias_it(arch, seed):
+    model = build_model(arch, RngStream(seed))
+    layout = param_layout(arch)
+    offset = 0
+    for slot in layout:
+        assert slot.weights.start == offset
+        assert slot.biases.start == slot.weights.stop == offset + slot.fan_in * slot.fan_out
+        offset = slot.biases.stop
+    assert offset == model.params.size == count_params(model)
+    assert [s.mop for s in layout] == [None] * arch.shared_depth + [
+        i for i in range(arch.num_mops) for _ in range(len(arch.hidden_sizes) - arch.shared_depth + 1)
+    ]
+
+    layers = list(model.trunk) + [layer for head in model.heads for layer in head]
+    assert len(layers) == len(layout)
+    for layer, slot in zip(layers, layout):
+        assert layer.activation == slot.activation
+        assert np.shares_memory(layer.weights, model.params)
+        assert np.shares_memory(layer.biases, model.params)
+        model.params[slot.weights.start] += 1.0
+        model.params[slot.biases.stop - 1] -= 1.0
+        assert np.array_equal(layer.weights.ravel(), model.params[slot.weights])
+        assert np.array_equal(layer.biases, model.params[slot.biases])
+    flat = np.concatenate([a.ravel() for a in parameter_arrays(model)])
+    assert flat.tobytes() == model.params.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(architectures(), st.integers(0, 2**32 - 1))
+def test_checkpoint_body_is_params_and_round_trips(tmp_path_factory, arch, seed):
+    model = build_model(arch, RngStream(seed))
+    path, body = checkpoint_bytes(model, tmp_path_factory)
+    assert body == model.params.tobytes()
+    loaded, _ = load_checkpoint(path)
+    assert loaded.arch == arch
+    assert loaded.params.tobytes() == model.params.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(architectures(), st.integers(1, 24), st.booleans())
+def test_truncated_or_padded_body_is_rejected(tmp_path_factory, arch, count, pad):
+    model = build_model(arch, RngStream(0))
+    path, body = checkpoint_bytes(model, tmp_path_factory)
+    raw = open(path, "rb").read()
+    damaged = raw + b"\0" * count if pad else raw[: len(raw) - min(count, len(body))]
+    open(path, "wb").write(damaged)
+    with pytest.raises(CheckpointError, match="truncated or padded"):
+        load_checkpoint(path)
+
+
+@st.composite
+def suites(draw):
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(SYNTHETIC_2D), min_size=1, max_size=3, unique=True))
+    else:
+        names = ["dtlz2"] * draw(st.integers(1, 3))
+    return suite_from_names(names)
+
+
+@settings(max_examples=15, deadline=None)
+@given(suites(), st.lists(st.integers(1, 6), max_size=3), st.data())
+def test_param_trace_entry_is_sha256_of_params(suite, hidden, data):
+    config = RunConfig(
+        suite=tuple(p.name for p in suite.problems),
+        iterations=2,
+        batch_size=3,
+        hidden_sizes=tuple(hidden),
+        shared_depth=data.draw(st.integers(0, len(hidden))),
+        eval_grid=6,
+        seed=data.draw(st.integers(0, 2**31 - 1)),
+        trace_params=True,
+    )
+    model, record = train_copsl(config, suite)
+    assert record.param_trace[-1] == hashlib.sha256(model.params.tobytes()).hexdigest()
+    initial = build_model(model.arch, RngStream(config.seed, stream=0))
+    assert record.param_trace[0] == hashlib.sha256(initial.params.tobytes()).hexdigest()

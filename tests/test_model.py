@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,9 @@ from copsl.model import (
     count_flops,
     count_params,
     enumerate_shared_variants,
-    export_architecture,
     forward_all,
     load_checkpoint,
+    param_layout,
     parameter_arrays,
     save_checkpoint,
 )
@@ -67,8 +65,13 @@ class TestForward:
     def test_identical_heads_give_identical_outputs(self):
         arch = ModelArchitecture(2, (16, 16), 1, (4, 4))
         model = build_model(arch, RngStream(1))
-        clone_heads = (model.heads[0], model.heads[0])
-        tied = CoPslModel(arch=arch, trunk=model.trunk, heads=clone_heads)
+        params = model.params.copy()
+        head0 = [s for s in param_layout(arch) if s.mop == 0]
+        head1 = [s for s in param_layout(arch) if s.mop == 1]
+        for a, b in zip(head0, head1):
+            params[b.weights] = params[a.weights]
+            params[b.biases] = params[a.biases]
+        tied = CoPslModel(arch=arch, params=params)
         outputs, _ = forward_all(tied, simplex_batch(2, 2, 7))
         assert np.array_equal(outputs[0], outputs[1])
 
@@ -135,8 +138,9 @@ class TestBackwardRouting:
             dw, db, upstream = layer_backward(layer, cache, upstream)
             grads.append((dw, db))
         grads = grads[::-1]
-        assert np.array_equal(routed.trunk[0][0], grads[0][0])
-        assert np.array_equal(routed.heads[0][0][0], grads[1][0])
+        trunk0, head0 = param_layout(arch)[:2]
+        assert np.array_equal(routed[trunk0.weights], grads[0][0].ravel())
+        assert np.array_equal(routed[head0.weights], grads[1][0].ravel())
 
     def test_zero_weight_removes_trunk_contribution(self):
         # Weight (0, 1) must match silencing the first problem's gradient
@@ -148,31 +152,32 @@ class TestBackwardRouting:
             [np.zeros_like(self.grads_out[0]), self.grads_out[1]],
             np.array([1.0, 1.0]),
         )
-        assert np.array_equal(gated.trunk[0][0], silenced.trunk[0][0])
-        assert np.array_equal(gated.trunk[0][1], silenced.trunk[0][1])
+        trunk0 = param_layout(self.arch)[0]
+        assert np.array_equal(gated[trunk0.weights], silenced[trunk0.weights])
+        assert np.array_equal(gated[trunk0.biases], silenced[trunk0.biases])
 
     def test_doubling_weights_scales_trunk_only(self):
         base = self.run_backward([1.0, 1.0])
         double = self.run_backward([2.0, 2.0])
-        assert np.allclose(double.trunk[0][0], 2.0 * base.trunk[0][0], rtol=1e-15)
-        for h_base, h_double in zip(base.heads, double.heads):
-            for (dw_a, db_a), (dw_b, db_b) in zip(h_base, h_double):
-                assert np.array_equal(dw_a, dw_b)
-                assert np.array_equal(db_a, db_b)
+        trunk0 = param_layout(self.arch)[0]
+        assert np.allclose(double[trunk0.weights], 2.0 * base[trunk0.weights], rtol=1e-15)
+        heads = slice(trunk0.biases.stop, None)
+        assert np.array_equal(base[heads], double[heads])
 
     def test_trunk_gradient_is_weighted_sum_of_solo_gradients(self):
         weights = np.array([0.3, 1.7])
         combined = self.run_backward(weights)
         solo = [self.run_backward([1.0, 0.0]), self.run_backward([0.0, 1.0])]
-        expected = weights[0] * solo[0].trunk[0][0] + weights[1] * solo[1].trunk[0][0]
-        assert np.abs(combined.trunk[0][0] - expected).max() <= 1e-12
+        w0 = param_layout(self.arch)[0].weights
+        expected = weights[0] * solo[0][w0] + weights[1] * solo[1][w0]
+        assert np.abs(combined[w0] - expected).max() <= 1e-12
 
     def test_head_gradients_ignore_weights(self):
         a = self.run_backward([1.0, 1.0])
         b = self.run_backward([0.25, 4.0])
-        for h_a, h_b in zip(a.heads, b.heads):
-            for (dw_a, _), (dw_b, _) in zip(h_a, h_b):
-                assert np.array_equal(dw_a, dw_b)
+        for slot in param_layout(self.arch):
+            if slot.mop is not None:
+                assert np.array_equal(a[slot.weights], b[slot.weights])
 
     def test_rejects_negative_weights(self):
         with pytest.raises(InputError):
@@ -272,10 +277,3 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "nope.ckpt"))
-
-    def test_architecture_export(self, tmp_path):
-        arch = ModelArchitecture(2, (8, 8), 1, (3, 4))
-        path = str(tmp_path / "arch.json")
-        export_architecture(arch, path)
-        data = json.load(open(path))
-        assert ModelArchitecture.from_dict(data) == arch

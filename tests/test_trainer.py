@@ -5,7 +5,7 @@ import pytest
 
 import copsl.trainer as trainer_mod
 from copsl.errors import ConfigurationError, TrainingDivergedError
-from copsl.model import backward_all, count_params
+from copsl.model import backward_all, count_params, param_layout
 from copsl.problems import ProblemSuite, get_problem, suite_from_names
 from copsl.sampling import uniform_preference_grid
 from copsl.trainer import (
@@ -139,6 +139,26 @@ class TestTrainingLoop:
         with pytest.raises(TrainingDivergedError, match="broken.*iteration 1"):
             train_copsl(cfg, suite)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nonfinite_gradient_aborts_with_diagnostic(self):
+        base = get_problem("zdt1")
+
+        def saturated(x):
+            out = base.jacobian_batch(x).copy()
+            if x.shape[0] == 5:  # diverge on training batches, not the eval grid
+                out[:, 1, 0] = -np.inf
+            return out
+
+        broken = dataclasses.replace(base, name="broken", jacobian_batch=saturated)
+        suite = ProblemSuite("pair", (get_problem("zdt2"), broken))
+        cfg = tiny_config(iterations=5, batch_size=5)
+        with pytest.raises(TrainingDivergedError) as caught:
+            train_copsl(cfg, suite)
+        message = str(caught.value)
+        assert "iteration 1" in message
+        assert "head 1 layer 1 (MOP 'broken')" in message
+        assert "zdt2" not in message
+
     def test_weight_length_validated(self):
         with pytest.raises(ConfigurationError):
             train_copsl(tiny_config(weights=(1.0,)), ZDT_PAIR)
@@ -157,9 +177,10 @@ class TestTrainingLoop:
                 [np.zeros_like(output_grads[0]), output_grads[1]],
                 np.array([1.0, 1.0]),
             )
-            for (dw, db), (dw_s, db_s) in zip(grads.trunk, solo.trunk):
-                assert np.array_equal(dw, dw_s)
-                assert np.array_equal(db, db_s)
+            for slot in param_layout(model.arch):
+                if slot.mop is None:
+                    assert np.array_equal(grads[slot.weights], solo[slot.weights])
+                    assert np.array_equal(grads[slot.biases], solo[slot.biases])
             observed["count"] += 1
             return grads
 
