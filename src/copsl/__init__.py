@@ -22,7 +22,6 @@ from .model import (
     build_model,
     count_flops,
     count_params,
-    enumerate_shared_variants,
     load_checkpoint,
     save_checkpoint,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "builtin_suite",
     "count_flops",
     "count_params",
-    "enumerate_shared_variants",
     "evaluate_model",
     "get_problem",
     "hv_2d",

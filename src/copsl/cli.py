@@ -64,8 +64,7 @@ def cmd_run(args) -> int:
     seeds = args.seed if args.seed else [config.seed]
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
-    summaries = run_batch([config], seeds, out_dir=out_dir)
-    summary = summaries[0]
+    summary = run_batch(config, seeds, out_dir=out_dir)
     for failure in summary["failures"]:
         print(f"seed {failure['seed']} failed: {failure['error']}", file=sys.stderr)
     if summary["records"]:

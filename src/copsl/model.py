@@ -140,6 +140,11 @@ def _size(arch: ModelArchitecture) -> int:
     return param_layout(arch)[-1].span.stop
 
 
+def nonfinite_layers(arch: ModelArchitecture, vector: np.ndarray) -> list[LayerSlot]:
+    """The layers, in layout order, whose part of a flat vector holds NaN or +-inf."""
+    return [s for s in param_layout(arch) if not np.isfinite(vector[s.span]).all()]
+
+
 def _layer_views(arch: ModelArchitecture, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weights, biases) views into a flat vector, one pair per layer in layout order."""
     return [
@@ -302,28 +307,15 @@ def count_flops(model: CoPslModel, batch: int) -> int:
     return batch * sum(2 * s.fan_in * s.fan_out for s in param_layout(model.arch))
 
 
-def enumerate_shared_variants(
-    num_objectives: int, hidden_sizes, num_mops: int, output_dims
-) -> list[ModelArchitecture]:
-    """One architecture per shared depth, from fully separate to fully shared."""
-    hidden = tuple(int(h) for h in hidden_sizes)
-    if not hidden:
-        raise ConfigurationError("need at least one hidden layer to enumerate variants")
-    if isinstance(output_dims, int):
-        dims = (output_dims,) * num_mops
-    else:
-        dims = tuple(int(n) for n in output_dims)
-    if len(dims) != num_mops:
-        raise ConfigurationError(f"expected {num_mops} output dims, got {len(dims)}")
-    return [
-        ModelArchitecture(num_objectives, hidden, depth, dims)
-        for depth in range(len(hidden) + 1)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(arch: ModelArchitecture, params: np.ndarray, context: str) -> None:
+    bad = nonfinite_layers(arch, params)
+    if bad:
+        raise CheckpointError(f"{context} non-finite parameters in {bad[0].describe()}")
 
 
 def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) -> None:
@@ -331,7 +323,9 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
 
     Layout: one JSON header line (format name, version, architecture,
     optional metadata), then ``model.params`` as raw little-endian float64.
+    Refuses, with :class:`CheckpointError`, parameters that are not finite.
     """
+    _require_finite(model.arch, model.params, f"refusing to write {path!r}: model has")
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -343,7 +337,11 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
 
 
 def load_checkpoint(path: str, expected_objectives: int | None = None) -> tuple[CoPslModel, dict]:
-    """Read a checkpoint back; returns the model and the stored metadata."""
+    """Read a checkpoint back; returns the model and the stored metadata.
+
+    Raises :class:`CheckpointError`, naming the first offending layer, for a
+    body that holds NaN or +-inf.
+    """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -378,4 +376,5 @@ def load_checkpoint(path: str, expected_objectives: int | None = None) -> tuple[
             f"checkpoint body has {len(body)} bytes, expected {expected_bytes} (truncated or padded)"
         )
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    _require_finite(arch, params, f"checkpoint {path!r} holds")
     return CoPslModel(arch=arch, params=params), header.get("metadata", {})

@@ -57,10 +57,7 @@ class IdealPointTracker:
     monotone, so z* never increases in any component.
     """
 
-    def __init__(self, num_mops: int, num_objectives: int, epsilon: float = 1e-3):
-        if not epsilon > 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        self.epsilon = float(epsilon)
+    def __init__(self, num_mops: int, num_objectives: int):
         self._z = np.full((num_mops, num_objectives), np.inf, dtype=np.float64)
 
     def update(self, mop_index: int, objectives) -> None:

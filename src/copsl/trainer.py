@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,12 +24,14 @@ from .ioutil import atomic_write_text
 from .metrics import csv_float, hypervolume, log_hv_diff, nondominated_filter
 from .model import (
     CoPslModel,
+    LayerSlot,
     ModelArchitecture,
     backward_all,
     build_model,
     count_flops,
     count_params,
     forward_all,
+    nonfinite_layers,
     param_layout,
     save_checkpoint,
 )
@@ -217,14 +220,10 @@ def _param_digest(model: CoPslModel) -> str:
     return hashlib.sha256(model.params).hexdigest()
 
 
-def _nonfinite_gradient_message(grads: np.ndarray, model: CoPslModel, suite: ProblemSuite, iteration: int) -> str:
-    """Name every layer whose gradient is not finite, with its head's problem."""
-    bad = []
-    for slot in param_layout(model.arch):
-        if not np.isfinite(grads[slot.span]).all():
-            owner = "" if slot.mop is None else f" (MOP '{suite.problems[slot.mop].name}')"
-            bad.append(slot.describe() + owner)
-    return f"non-finite gradient at iteration {iteration} in {', '.join(bad)}"
+def _nonfinite_gradient_message(slots: list[LayerSlot], suite: ProblemSuite, iteration: int) -> str:
+    """Name every given layer, with its head's problem."""
+    names = [s.describe() + ("" if s.mop is None else f" (MOP '{suite.problems[s.mop].name}')") for s in slots]
+    return f"non-finite gradient at iteration {iteration} in {', '.join(names)}"
 
 
 def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tuple[CoPslModel, RunRecord]:
@@ -261,7 +260,8 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
     adam = init_adam_state(
         model.params, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
-    tracker = IdealPointTracker(k, m, epsilon=config.epsilon)
+    tracker = IdealPointTracker(k, m)
+    output_layers = {slot.mop: slot for slot in param_layout(arch)}  # the last layer of each head
     spec = config.loss_spec()
     grid_size = config.eval_grid or _default_grid_size(m)
     grid = uniform_preference_grid(m, grid_size)
@@ -328,8 +328,11 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
                     f"non-finite loss {loss_value} for MOP '{mop.name}' "
                     f"(index {i}) at iteration {iteration}"
                 )
+            decision_grads = chain_to_decision(objective_grads, jacobians, box_derivative)
+            if not np.isfinite(decision_grads).all():
+                raise TrainingDivergedError(_nonfinite_gradient_message([output_layers[i]], suite, iteration))
             mop_losses.append(loss_value)
-            output_grads.append(chain_to_decision(objective_grads, jacobians, box_derivative))
+            output_grads.append(decision_grads)
 
         grads = backward_all(model, caches, output_grads, weights)
         if config.strict_weight_gating and zero_weight:
@@ -337,7 +340,8 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
                 if slot.mop in zero_weight:
                     grads[slot.span] = 0.0
         if not np.isfinite(grads).all():
-            raise TrainingDivergedError(_nonfinite_gradient_message(grads, model, suite, iteration))
+            bad = nonfinite_layers(arch, grads)
+            raise TrainingDivergedError(_nonfinite_gradient_message(bad, suite, iteration))
         adam_step(model.params, grads, adam, config.learning_rate)
 
         record.total_loss.append(total_loss(mop_losses, weights))
@@ -362,105 +366,76 @@ def train_psl(config: RunConfig, problem: MopDefinition) -> tuple[CoPslModel, Ru
 # ---------------------------------------------------------------------------
 
 
-def run_ablation(
-    config: RunConfig, suite: Optional[ProblemSuite] = None, seeds=(0,)
-) -> tuple[list[dict], list[dict]]:
+def run_ablation(config: RunConfig, seeds=(0,)) -> tuple[list[dict], list[dict]]:
     """Train every shared-depth variant of the configured stack per seed.
 
-    Returns (rows, failures). Each row holds shared_depth, seed, mop, final
-    hypervolume, hypervolume delta against the fully separate (shared_depth
-    0) variant with the same seed, and the variant's parameter count.
+    Each variant is one :func:`run_batch` over ``seeds`` (so no seeds raises
+    :class:`ConfigurationError`). Returns (rows, failures). Each row holds
+    shared_depth, seed, mop, final hypervolume, hypervolume delta against the
+    fully separate (shared_depth 0) variant with the same seed, and the
+    variant's parameter count; each failure is run_batch's, plus shared_depth.
     """
-    if suite is None:
-        suite = config.resolve_suite()
-    depths = list(range(len(config.hidden_sizes) + 1))
     rows: list[dict] = []
     failures: list[dict] = []
     baseline_hv: dict[tuple[int, int], float] = {}
-    for depth in depths:
-        for seed in seeds:
-            variant = dataclasses.replace(config, shared_depth=depth, seed=seed)
-            try:
-                model, record = train_copsl(variant, suite)
-            except CopslError as exc:
-                failures.append({"shared_depth": depth, "seed": seed, "error": str(exc)})
-                continue
-            final_hv = record.hv[-1]
-            params = record.param_count
-            for i, mop in enumerate(suite.problems):
+    for depth in range(len(config.hidden_sizes) + 1):
+        summary = run_batch(dataclasses.replace(config, shared_depth=depth), seeds)
+        failures.extend({"shared_depth": depth, **failure} for failure in summary["failures"])
+        for record in summary["records"]:
+            seed, params = record.config["seed"], record.param_count
+            for i, (mop, hv) in enumerate(zip(record.mop_names, record.hv[-1])):
                 if depth == 0:
-                    baseline_hv[(seed, i)] = final_hv[i]
+                    baseline_hv[(seed, i)] = hv
                 base = baseline_hv.get((seed, i))
-                delta = final_hv[i] - base if base is not None else None
-                rows.append(
-                    {
-                        "shared_depth": depth,
-                        "seed": seed,
-                        "mop": mop.name,
-                        "hv": final_hv[i],
-                        "delta_hv": delta,
-                        "params": params,
-                    }
-                )
+                delta = hv - base if base is not None else None
+                rows.append(dict(shared_depth=depth, seed=seed, mop=mop, hv=hv, delta_hv=delta, params=params))
     return rows, failures
 
 
-def run_batch(configs, seeds, out_dir: Optional[str] = None) -> list[dict]:
-    """Run each config across all seeds and aggregate final metrics.
+def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
+    """Run one config across all seeds and aggregate final metrics.
 
     Failures are recorded per seed and excluded from the statistics; they do
     not abort the batch. With ``out_dir`` set, every run's record, loss and
-    evaluation series, and final checkpoint are persisted there.
+    evaluation series, and final checkpoint are persisted there, tagged
+    ``seed<S>``.
     """
-    import os
-
     if len(seeds) < 1:
         raise ConfigurationError("need at least one seed")
-    summaries: list[dict] = []
-    for index, config in enumerate(configs):
-        suite = config.resolve_suite()
-        records: list[RunRecord] = []
-        failures: list[dict] = []
-        artifacts: list[str] = []
-        for seed in seeds:
-            run_config = dataclasses.replace(config, seed=seed)
-            try:
-                model, record = train_copsl(run_config, suite)
-            except CopslError as exc:
-                failures.append({"seed": seed, "error": str(exc)})
-                continue
-            records.append(record)
-            if out_dir is not None:
-                tag = f"seed{seed}" if len(configs) == 1 else f"config{index}_seed{seed}"
-                paths = {
-                    "record": os.path.join(out_dir, f"run_{tag}.json"),
-                    "losses": os.path.join(out_dir, f"losses_{tag}.csv"),
-                    "eval": os.path.join(out_dir, f"eval_{tag}.csv"),
-                    "checkpoint": os.path.join(out_dir, f"model_{tag}.ckpt"),
-                }
-                record.save_json(paths["record"])
-                write_loss_csv(record, paths["losses"])
-                write_eval_csv(record, paths["eval"])
-                suite_spec = config.suite if isinstance(config.suite, str) else list(config.suite)
-                save_checkpoint(model, paths["checkpoint"], metadata={"suite": suite_spec, "seed": seed})
-                artifacts.extend(paths.values())
-        summary: dict = {
-            "config_index": index,
-            "seeds": list(seeds),
-            "records": records,
-            "failures": failures,
-            "artifacts": artifacts,
-        }
-        if records:
-            final_hv = np.array([r.hv[-1] for r in records])
-            walls = np.array([r.wall_seconds for r in records])
-            summary["mop_names"] = records[0].mop_names
-            summary["mean_final_hv"] = final_hv.mean(axis=0).tolist()
-            summary["std_final_hv"] = final_hv.std(axis=0).tolist()
-            summary["mean_wall_seconds"] = float(walls.mean())
-            summary["std_wall_seconds"] = float(walls.std())
-        summaries.append(summary)
-    return summaries
+    suite = config.resolve_suite()
+    records: list[RunRecord] = []
+    failures: list[dict] = []
+    artifacts: list[str] = []
+    for seed in seeds:
+        try:
+            model, record = train_copsl(dataclasses.replace(config, seed=seed), suite)
+        except CopslError as exc:
+            failures.append({"seed": seed, "error": str(exc)})
+            continue
+        records.append(record)
+        if out_dir is not None:
+            paths = {
+                "record": os.path.join(out_dir, f"run_seed{seed}.json"),
+                "losses": os.path.join(out_dir, f"losses_seed{seed}.csv"),
+                "eval": os.path.join(out_dir, f"eval_seed{seed}.csv"),
+                "checkpoint": os.path.join(out_dir, f"model_seed{seed}.ckpt"),
+            }
+            record.save_json(paths["record"])
+            write_loss_csv(record, paths["losses"])
+            write_eval_csv(record, paths["eval"])
+            suite_spec = config.suite if isinstance(config.suite, str) else list(config.suite)
+            save_checkpoint(model, paths["checkpoint"], metadata={"suite": suite_spec, "seed": seed})
+            artifacts.extend(paths.values())
+    summary: dict = {"seeds": list(seeds), "records": records, "failures": failures, "artifacts": artifacts}
+    if records:
+        final_hv = np.array([r.hv[-1] for r in records])
+        walls = np.array([r.wall_seconds for r in records])
+        summary["mop_names"] = records[0].mop_names
+        summary["mean_final_hv"] = final_hv.mean(axis=0).tolist()
+        summary["std_final_hv"] = final_hv.std(axis=0).tolist()
+        summary["mean_wall_seconds"] = float(walls.mean())
+        summary["std_wall_seconds"] = float(walls.std())
+    return summary
 
 
 # ---------------------------------------------------------------------------

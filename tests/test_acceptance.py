@@ -60,7 +60,7 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="session")
 def efficacy_runs(tmp_path_factory):
     out_dir = str(tmp_path_factory.mktemp("efficacy"))
-    summary = run_batch([EFFICACY_CONFIG], seeds=SEEDS, out_dir=out_dir)[0]
+    summary = run_batch(EFFICACY_CONFIG, seeds=SEEDS, out_dir=out_dir)
     assert not summary["failures"], summary["failures"]
     return summary["records"], out_dir
 
@@ -335,7 +335,7 @@ def test_criterion_8_preference_sampler_statistics():
 def test_criterion_9_reruns_reproduce_csv_bytes(efficacy_runs, tmp_path):
     _, first_dir = efficacy_runs
     second_dir = str(tmp_path / "rerun")
-    summary = run_batch([EFFICACY_CONFIG], seeds=SEEDS, out_dir=second_dir)[0]
+    summary = run_batch(EFFICACY_CONFIG, seeds=SEEDS, out_dir=second_dir)
     assert not summary["failures"]
     mismatched = []
     for seed in SEEDS:

@@ -1,6 +1,7 @@
 """Property tests of the flat parameter layout over random small architectures."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -71,14 +72,28 @@ def test_layout_tiles_params_and_layers_alias_it(arch, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(architectures(), st.integers(0, 2**32 - 1))
-def test_checkpoint_body_is_params_and_round_trips(tmp_path_factory, arch, seed):
+@given(architectures(), st.integers(0, 2**32 - 1), st.data())
+def test_checkpoint_body_is_params_and_round_trips(tmp_path_factory, arch, seed, data):
     model = build_model(arch, RngStream(seed))
     path, body = checkpoint_bytes(model, tmp_path_factory)
     assert body == model.params.tobytes()
     loaded, _ = load_checkpoint(path)
     assert loaded.arch == arch
     assert loaded.params.tobytes() == model.params.tobytes()
+
+    # A non-finite entry is refused on load and on save, naming its layer.
+    index = data.draw(st.integers(0, model.params.size - 1))
+    value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    slot = next(s for s in param_layout(arch) if s.span.start <= index < s.span.stop)
+    named = re.escape(slot.describe()) + "$"
+    raw = open(path, "rb").read()
+    offset = len(raw) - len(body) + 8 * index
+    open(path, "wb").write(raw[:offset] + np.array(value, dtype="<f8").tobytes() + raw[offset + 8 :])
+    with pytest.raises(CheckpointError, match=named):
+        load_checkpoint(path)
+    model.params[index] = value
+    with pytest.raises(CheckpointError, match=named):
+        save_checkpoint(model, path)
 
 
 @settings(max_examples=40, deadline=None)

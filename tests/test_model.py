@@ -9,7 +9,6 @@ from copsl.model import (
     build_model,
     count_flops,
     count_params,
-    enumerate_shared_variants,
     forward_all,
     load_checkpoint,
     param_layout,
@@ -49,6 +48,15 @@ class TestArchitecture:
         for head in model.heads:
             assert len(head) == 1
             assert head[0].activation == "sigmoid"
+
+    def test_sharing_one_layer_drops_k_minus_1_copies(self):
+        # Sharing the first hidden layer of width h removes (K - 1) copies of
+        # its m*h weights and h biases.
+        separate, shared = [
+            count_params(build_model(ModelArchitecture(2, (64, 64), depth, (5,) * 3), RngStream(0)))
+            for depth in (0, 1)
+        ]
+        assert separate - shared == (3 - 1) * (2 * 64 + 64)
 
     def test_invariant_violations(self):
         with pytest.raises(ConfigurationError):
@@ -211,26 +219,6 @@ class TestCounts:
         model = build_model(ModelArchitecture(2, (), 0, (3,)), RngStream(0))
         assert count_flops(model, 1) == 12
         assert count_flops(model, 15) == 180
-
-
-class TestVariants:
-    def test_enumerates_all_depths(self):
-        variants = enumerate_shared_variants(2, (180, 180, 180), 2, 6)
-        assert [v.shared_depth for v in variants] == [0, 1, 2, 3]
-
-    def test_param_counts_strictly_decrease_with_depth(self):
-        # Sharing a layer of width h removes (K - 1) copies of its
-        # parameters, so counts drop monotonically for K >= 2.
-        variants = enumerate_shared_variants(2, (64, 64), 3, 5)
-        counts = [count_params(build_model(v, RngStream(0))) for v in variants]
-        assert all(a > b for a, b in zip(counts, counts[1:]))
-        # Closed-form check of the drop from depth 0 to 1: (K-1) * (m*h + h).
-        expected_drop = (3 - 1) * (2 * 64 + 64)
-        assert counts[0] - counts[1] == expected_drop
-
-    def test_single_hidden_layer_gives_two_variants(self):
-        variants = enumerate_shared_variants(2, (256,), 6, 6)
-        assert len(variants) == 2
 
 
 class TestCheckpoint:

@@ -139,7 +139,7 @@ class TestTrainingLoop:
         with pytest.raises(TrainingDivergedError, match="broken.*iteration 1"):
             train_copsl(cfg, suite)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_gradient_aborts_with_diagnostic(self):
         base = get_problem("zdt1")
 
@@ -266,7 +266,7 @@ class TestRecordFiles:
 class TestAblation:
     def test_rows_cover_every_variant_seed_and_problem(self):
         cfg = tiny_config(hidden_sizes=(6, 6, 6), iterations=3)
-        rows, failures = run_ablation(cfg, ZDT_PAIR, seeds=(0, 1))
+        rows, failures = run_ablation(cfg, seeds=(0, 1))
         assert not failures
         assert len(rows) == 4 * 2 * 2  # depths x seeds x problems
         depths = sorted({r["shared_depth"] for r in rows})
@@ -274,14 +274,14 @@ class TestAblation:
 
     def test_params_strictly_decrease_with_depth(self):
         cfg = tiny_config(hidden_sizes=(6, 6, 6), iterations=2)
-        rows, _ = run_ablation(cfg, ZDT_PAIR, seeds=(0,))
+        rows, _ = run_ablation(cfg, seeds=(0,))
         by_depth = {r["shared_depth"]: r["params"] for r in rows}
         params = [by_depth[d] for d in sorted(by_depth)]
         assert all(a > b for a, b in zip(params, params[1:]))
 
     def test_baseline_rows_have_zero_delta(self):
         cfg = tiny_config(hidden_sizes=(6, 6), iterations=2)
-        rows, _ = run_ablation(cfg, ZDT_PAIR, seeds=(3,))
+        rows, _ = run_ablation(cfg, seeds=(3,))
         for row in rows:
             if row["shared_depth"] == 0:
                 assert row["delta_hv"] == 0.0
@@ -292,16 +292,23 @@ class TestAblation:
         # Mismatched weight length makes every variant fail; the sweep still
         # returns instead of raising.
         cfg = tiny_config(suite=("zdt1",), iterations=2, hidden_sizes=(4,), weights=(1.0, 1.0))
-        rows, failures = run_ablation(cfg, ProblemSuite("solo", (get_problem("zdt1"),)), seeds=(0,))
+        rows, failures = run_ablation(cfg, seeds=(0,))
         assert rows == []
         assert len(failures) == 2
+        for depth, failure in enumerate(failures):
+            assert failure["shared_depth"] == depth
+            assert failure["seed"] == 0
+            assert "expected 1 MOP weights" in failure["error"]
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            run_ablation(tiny_config(), seeds=())
 
 
 class TestRunBatch:
     def test_statistics_over_seeds(self, tmp_path):
         cfg = tiny_config(iterations=4)
-        summaries = run_batch([cfg], seeds=(0, 1, 2), out_dir=str(tmp_path))
-        s = summaries[0]
+        s = run_batch(cfg, seeds=(0, 1, 2), out_dir=str(tmp_path))
         assert len(s["records"]) == 3
         assert len(s["mean_final_hv"]) == 2
         assert (tmp_path / "run_seed1.json").exists()
@@ -310,19 +317,19 @@ class TestRunBatch:
 
     def test_single_seed_zero_std(self):
         cfg = tiny_config(iterations=3)
-        s = run_batch([cfg], seeds=(5,))[0]
+        s = run_batch(cfg, seeds=(5,))
         assert s["std_final_hv"] == [0.0, 0.0]
         assert s["std_wall_seconds"] == 0.0
 
     def test_rerun_reproduces_aggregates(self):
         cfg = tiny_config(iterations=4)
-        a = run_batch([cfg], seeds=(0, 1))[0]
-        b = run_batch([cfg], seeds=(0, 1))[0]
+        a = run_batch(cfg, seeds=(0, 1))
+        b = run_batch(cfg, seeds=(0, 1))
         assert a["mean_final_hv"] == b["mean_final_hv"]
         assert a["std_final_hv"] == b["std_final_hv"]
 
     def test_failure_is_recorded(self):
         cfg = tiny_config(weights=(1.0,))  # wrong length for the two-problem suite
-        s = run_batch([cfg], seeds=(0,))[0]
+        s = run_batch(cfg, seeds=(0,))
         assert s["records"] == []
         assert len(s["failures"]) == 1
