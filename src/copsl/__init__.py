@@ -15,7 +15,7 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedError,
 )
-from .metrics import hv_2d, hv_3d, hv_monte_carlo, log_hv_diff, nondominated_filter
+from .metrics import hv_2d, hv_3d, log_hv_diff, nondominated_filter
 from .model import (
     CoPslModel,
     ModelArchitecture,
@@ -68,7 +68,6 @@ __all__ = [
     "get_problem",
     "hv_2d",
     "hv_3d",
-    "hv_monte_carlo",
     "load_checkpoint",
     "log_hv_diff",
     "nondominated_filter",

@@ -4,8 +4,8 @@ Hypervolume is the Lebesgue measure of the objective-space region dominated
 by a point set and bounded above by a reference point. The 2-d computation is
 the classic sweep over the sorted nondominated set; the 3-d computation
 sweeps the third coordinate and accumulates slab volumes from 2-d
-hypervolumes of the growing projection. Both are exact for finite sets; the
-Monte Carlo estimator exists as an independent statistical cross-check.
+hypervolumes of the growing projection. Both are exact for finite sets and
+reject a reference point that is not finite.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InputError, UnsupportedError
 from .ioutil import atomic_write_text
-from .sampling import RngStream
 
 CSV_FLOAT_FORMAT = ".17g"
 
@@ -32,6 +31,15 @@ def _as_points(points, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise InputError("objective vectors must be finite")
     return pts
+
+
+def _as_reference(reference, dim: int) -> np.ndarray:
+    ref = np.asarray(reference, dtype=np.float64)
+    if ref.shape != (dim,):
+        raise InputError(f"reference point must have length {dim}")
+    if not np.isfinite(ref).all():
+        raise InputError(f"reference point must be finite, got {ref.tolist()}")
+    return ref
 
 
 def nondominated_filter(points) -> np.ndarray:
@@ -64,9 +72,7 @@ def hv_2d(points, reference) -> float:
     out; an empty remainder has hypervolume 0.
     """
     pts = _as_points(points, dim=2)
-    ref = np.asarray(reference, dtype=np.float64)
-    if ref.shape != (2,):
-        raise InputError("reference point must have length 2")
+    ref = _as_reference(reference, 2)
     pts = pts[(pts < ref).all(axis=1)]
     if pts.shape[0] == 0:
         return 0.0
@@ -88,9 +94,7 @@ def hv_3d(points, reference) -> float:
     slab thickness.
     """
     pts = _as_points(points, dim=3)
-    ref = np.asarray(reference, dtype=np.float64)
-    if ref.shape != (3,):
-        raise InputError("reference point must have length 3")
+    ref = _as_reference(reference, 3)
     pts = pts[(pts < ref).all(axis=1)]
     if pts.shape[0] == 0:
         return 0.0
@@ -116,40 +120,6 @@ def hypervolume(points, reference) -> float:
     raise UnsupportedError(f"exact hypervolume is implemented for 2 or 3 objectives, got {m}")
 
 
-def hv_monte_carlo(points, reference, samples: int, rng: RngStream) -> tuple[float, float]:
-    """Monte Carlo hypervolume estimate with its binomial standard error.
-
-    Samples uniformly in the box spanned by the componentwise minimum of the
-    points and the reference point; a sample counts as a hit when some point
-    weakly dominates it.
-    """
-    pts = _as_points(points)
-    ref = np.asarray(reference, dtype=np.float64)
-    if ref.shape != (pts.shape[1],):
-        raise InputError(f"reference point must have length {pts.shape[1]}")
-    if samples < 1:
-        raise InputError("need at least one sample")
-    lower = pts.min(axis=0)
-    widths = ref - lower
-    if (widths <= 0.0).any():
-        return 0.0, 0.0
-    box_volume = float(np.prod(widths))
-    chunk = max(1024, int(2_000_000 // max(pts.shape[0], 1)))
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        k = min(chunk, remaining)
-        u = rng.random((k, pts.shape[1]))
-        draws = lower + widths * u
-        dominated = (pts[None, :, :] <= draws[:, None, :]).all(axis=2).any(axis=1)
-        hits += int(dominated.sum())
-        remaining -= k
-    rate = hits / samples
-    estimate = box_volume * rate
-    std_error = box_volume * float(np.sqrt(rate * (1.0 - rate) / samples))
-    return estimate, std_error
-
-
 def log_hv_diff(hv_true: float, hv_learned: float) -> float:
     """log10 of the hypervolume gap, floored to stay finite."""
     if hv_true < 0.0:
@@ -173,9 +143,7 @@ def write_front_csv(path: str, points, reference) -> None:
     """Write one objective vector per row, with the objective count and
     reference point recorded in a leading comment line."""
     pts = _as_points(points)
-    ref = np.asarray(reference, dtype=np.float64)
-    if ref.shape != (pts.shape[1],):
-        raise InputError(f"reference point must have length {pts.shape[1]}")
+    ref = _as_reference(reference, pts.shape[1])
     m = pts.shape[1]
     lines = [
         "# m=%d reference=%s" % (m, ",".join(csv_float(r) for r in ref)),

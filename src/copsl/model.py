@@ -9,22 +9,24 @@ own problem's gradient, while the trunk accumulates the weighted sum over
 problems.
 
 All parameters live in one contiguous float64 vector laid out by
-:func:`param_layout`; the layers are views into it. Gradients and the
-optimizer's moments are vectors of the same layout.
+:func:`param_layout`, whose layers are slots in it: a model is just its
+architecture and that vector. Gradients and the optimizer's moments are
+vectors of the same layout, and a layer's views into any of them come from
+its slot.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, InputError, InternalError
 from .ioutil import atomic_write_bytes
-from .nn import DenseLayer, ForwardCache, init_layer, layer_backward, layer_forward
+from .nn import DenseLayer, layer_backward, layer_forward
 from .sampling import RngStream
 
 SIMPLEX_TOLERANCE = 1e-9
@@ -86,36 +88,10 @@ class ModelArchitecture:
             raise ConfigurationError(f"malformed architecture description: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class LayerSlot:
-    """Where one layer's parameters sit in the flat parameter vector.
-
-    ``mop`` is the head's problem index, or None for a trunk layer; ``depth``
-    is the layer's position within the trunk or its head. The weights
-    (fan_out, fan_in) occupy ``weights``, the biases follow in ``biases``.
-    """
-
-    mop: Optional[int]
-    depth: int
-    fan_in: int
-    fan_out: int
-    activation: str
-    weights: slice
-    biases: slice
-
-    @property
-    def span(self) -> slice:
-        """The layer's weights and biases together."""
-        return slice(self.weights.start, self.biases.stop)
-
-    def describe(self) -> str:
-        return f"trunk layer {self.depth}" if self.mop is None else f"head {self.mop} layer {self.depth}"
-
-
 @functools.lru_cache(maxsize=64)
-def param_layout(arch: ModelArchitecture) -> tuple[LayerSlot, ...]:
-    """Where every layer's parameters sit in a flat vector: trunk first, then
-    heads in problem order, each layer's weights before its biases."""
+def param_layout(arch: ModelArchitecture) -> tuple[DenseLayer, ...]:
+    """Every layer, as its slot in a flat vector: trunk first, then heads in
+    problem order, each layer's weights before its biases."""
     dims = (arch.num_objectives,) + arch.hidden_sizes
     plan = [(None, j, dims[j], dims[j + 1], "relu") for j in range(arch.shared_depth)]
     for i, out_dim in enumerate(arch.output_dims):
@@ -125,54 +101,41 @@ def param_layout(arch: ModelArchitecture) -> tuple[LayerSlot, ...]:
             (i, j, sizes[j], sizes[j + 1], "sigmoid" if j == last else "relu")
             for j in range(last + 1)
         )
-    slots = []
+    layers = []
     offset = 0
     for mop, depth, fan_in, fan_out, activation in plan:
         mid = offset + fan_out * fan_in
-        slots.append(
-            LayerSlot(mop, depth, fan_in, fan_out, activation, slice(offset, mid), slice(mid, mid + fan_out))
+        layers.append(
+            DenseLayer(mop, depth, fan_in, fan_out, activation, slice(offset, mid), slice(mid, mid + fan_out))
         )
         offset = mid + fan_out
-    return tuple(slots)
+    return tuple(layers)
+
+
+@functools.lru_cache(maxsize=64)
+def layer_groups(arch: ModelArchitecture) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Positions in :func:`param_layout` of the trunk's layers and of each head's, input first."""
+    owners = [layer.mop for layer in param_layout(arch)]
+    trunk = tuple(k for k, mop in enumerate(owners) if mop is None)
+    heads = tuple(tuple(k for k, mop in enumerate(owners) if mop == i) for i in range(arch.num_mops))
+    return trunk, heads
 
 
 def _size(arch: ModelArchitecture) -> int:
     return param_layout(arch)[-1].span.stop
 
 
-def nonfinite_layers(arch: ModelArchitecture, vector: np.ndarray) -> list[LayerSlot]:
+def nonfinite_layers(arch: ModelArchitecture, vector: np.ndarray) -> list[DenseLayer]:
     """The layers, in layout order, whose part of a flat vector holds NaN or +-inf."""
-    return [s for s in param_layout(arch) if not np.isfinite(vector[s.span]).all()]
-
-
-def _layer_views(arch: ModelArchitecture, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weights, biases) views into a flat vector, one pair per layer in layout order."""
-    return [
-        (vector[s.weights].reshape(s.fan_out, s.fan_in), vector[s.biases])
-        for s in param_layout(arch)
-    ]
-
-
-def _trunk_and_heads(arch: ModelArchitecture, items: list):
-    """Group a per-layer list in layout order into the trunk's and each head's."""
-    owners = [s.mop for s in param_layout(arch)]
-    trunk = [x for x, owner in zip(items, owners) if owner is None]
-    heads = [[x for x, owner in zip(items, owners) if owner == i] for i in range(arch.num_mops)]
-    return trunk, heads
+    return [layer for layer in param_layout(arch) if not np.isfinite(vector[layer.span]).all()]
 
 
 @dataclass(frozen=True, eq=False)
 class CoPslModel:
-    """One flat float64 parameter vector laid out by :func:`param_layout`.
-
-    ``trunk`` and ``heads`` are layers whose arrays are views into
-    ``params``, built once: updating ``params`` in place updates the layers.
-    """
+    """One finite, contiguous float64 parameter vector laid out by :func:`param_layout`."""
 
     arch: ModelArchitecture
     params: np.ndarray
-    trunk: tuple[DenseLayer, ...] = field(init=False, repr=False)
-    heads: tuple[tuple[DenseLayer, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         params = self.params
@@ -181,32 +144,23 @@ class CoPslModel:
             raise ConfigurationError("params must be a contiguous float64 array")
         if params.shape != (size,):
             raise ConfigurationError(f"expected {size} parameters, got shape {params.shape}")
-        layers = [
-            DenseLayer(weights=w, biases=b, activation=s.activation)
-            for (w, b), s in zip(_layer_views(self.arch, params), param_layout(self.arch))
-        ]
-        trunk, heads = _trunk_and_heads(self.arch, layers)
-        object.__setattr__(self, "trunk", tuple(trunk))
-        object.__setattr__(self, "heads", tuple(tuple(h) for h in heads))
-
-
-@dataclass
-class ForwardCaches:
-    trunk: list[ForwardCache]
-    heads: list[list[ForwardCache]]
+        if not np.isfinite(params).all():
+            bad = nonfinite_layers(self.arch, params)
+            raise ConfigurationError(f"non-finite parameters in {bad[0].describe()}")
 
 
 def build_model(arch: ModelArchitecture, rng: RngStream) -> CoPslModel:
     """Initialize a model for the given architecture.
 
-    Layers are drawn in layout order, so identical streams give
-    bitwise-identical models.
+    Each layer's weights, then its biases, are drawn uniform on
+    +-1/sqrt(fan_in), layer by layer in layout order, so identical streams
+    give bitwise-identical models.
     """
     params = np.empty(_size(arch))
-    for slot in param_layout(arch):
-        layer = init_layer(rng, slot.fan_in, slot.fan_out, slot.activation)
-        params[slot.weights] = layer.weights.ravel()
-        params[slot.biases] = layer.biases
+    for layer in param_layout(arch):
+        bound = 1.0 / math.sqrt(layer.fan_in)
+        params[layer.weights] = rng.uniform(-bound, bound, layer.fan_out * layer.fan_in)
+        params[layer.biases] = rng.uniform(-bound, bound, layer.fan_out)
     return CoPslModel(arch=arch, params=params)
 
 
@@ -221,36 +175,34 @@ def _check_preferences(prefs: np.ndarray, num_objectives: int) -> np.ndarray:
     return p
 
 
-def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], ForwardCaches]:
+def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], list[tuple]]:
     """Run a batch of preference vectors through the trunk and every head.
 
-    Returns one (batch, n_i) matrix of unit-cube outputs per problem plus the
-    caches required by :func:`backward_all`.
+    Returns one (batch, n_i) matrix of unit-cube outputs per problem plus one
+    cache per layer, in layout order, for :func:`backward_all`.
     """
     x = _check_preferences(preferences, model.arch.num_objectives)
-    trunk_caches: list[ForwardCache] = []
-    for layer in model.trunk:
-        x, cache = layer_forward(layer, x)
-        trunk_caches.append(cache)
+    layout = param_layout(model.arch)
+    trunk, heads = layer_groups(model.arch)
+    caches: list = [None] * len(layout)
+    for k in trunk:
+        x, caches[k] = layer_forward(layout[k], model.params, x)
     outputs: list[np.ndarray] = []
-    head_caches: list[list[ForwardCache]] = []
-    for head in model.heads:
+    for head in heads:
         h = x
-        caches: list[ForwardCache] = []
-        for layer in head:
-            h, cache = layer_forward(layer, h)
-            caches.append(cache)
+        for k in head:
+            h, caches[k] = layer_forward(layout[k], model.params, h)
         outputs.append(h)
-        head_caches.append(caches)
-    return outputs, ForwardCaches(trunk=trunk_caches, heads=head_caches)
+    return outputs, caches
 
 
-def backward_all(model: CoPslModel, caches: ForwardCaches, output_grads, weights) -> np.ndarray:
+def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) -> np.ndarray:
     """Route gradients: own loss per head, weighted sum into the trunk.
 
-    ``output_grads[i]`` is dL_i/d(head-i output). Returns one flat vector laid
-    out like ``model.params``: head i's part is exactly the backpropagation of
-    L_i, the trunk's part the backpropagation of sum_i w_i L_i.
+    ``output_grads[i]`` is dL_i/d(head-i output), of that output's shape.
+    Returns one flat vector laid out like ``model.params``: head i's part is
+    exactly the backpropagation of L_i, the trunk's part the backpropagation
+    of sum_i w_i L_i.
     """
     arch = model.arch
     w = np.asarray(weights, dtype=np.float64)
@@ -261,23 +213,25 @@ def backward_all(model: CoPslModel, caches: ForwardCaches, output_grads, weights
     if len(output_grads) != arch.num_mops:
         raise InternalError(f"expected {arch.num_mops} output gradients, got {len(output_grads)}")
 
+    layout = param_layout(arch)
+    trunk, heads = layer_groups(arch)
     grads = np.empty_like(model.params)
-    trunk_views, head_views = _trunk_and_heads(arch, _layer_views(arch, grads))
-    trunk_upstream: np.ndarray | None = None
-    for i, head in enumerate(model.heads):
-        upstream = np.asarray(output_grads[i], dtype=np.float64)
-        for layer, cache, (gw, gb) in zip(reversed(head), reversed(caches.heads[i]), reversed(head_views[i])):
-            if upstream.shape != cache.pre_activation.shape:
-                raise InternalError(
-                    f"gradient shape {upstream.shape} does not match head {i} cache"
-                )
-            gw[...], gb[...], upstream = layer_backward(layer, cache, upstream)
-        contribution = w[i] * upstream
-        trunk_upstream = contribution if trunk_upstream is None else trunk_upstream + contribution
 
-    upstream = trunk_upstream
-    for layer, cache, (gw, gb) in zip(reversed(model.trunk), reversed(caches.trunk), reversed(trunk_views)):
-        gw[...], gb[...], upstream = layer_backward(layer, cache, upstream)
+    def backprop(positions, upstream):
+        for k in reversed(positions):
+            gw, gb = layout[k].views(grads)
+            gw[...], gb[...], upstream = layer_backward(layout[k], model.params, caches[k], upstream)
+        return upstream
+
+    trunk_upstream: np.ndarray | None = None
+    for i, head in enumerate(heads):
+        upstream = np.asarray(output_grads[i], dtype=np.float64)
+        output_shape = caches[head[-1]][1].shape
+        if upstream.shape != output_shape:
+            raise InternalError(f"gradient shape {upstream.shape} does not match head {i} output {output_shape}")
+        contribution = w[i] * backprop(head, upstream)
+        trunk_upstream = contribution if trunk_upstream is None else trunk_upstream + contribution
+    backprop(trunk, trunk_upstream)
     return grads
 
 
@@ -288,7 +242,7 @@ def backward_all(model: CoPslModel, caches: ForwardCaches, output_grads, weights
 
 def parameter_arrays(model: CoPslModel) -> list[np.ndarray]:
     """Every layer's weights and biases, in layout order, as views into ``model.params``."""
-    return [a for pair in _layer_views(model.arch, model.params) for a in pair]
+    return [a for layer in param_layout(model.arch) for a in layer.views(model.params)]
 
 
 def count_params(model: CoPslModel) -> int:

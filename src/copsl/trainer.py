@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,6 @@ from .ioutil import atomic_write_text
 from .metrics import csv_float, hypervolume, log_hv_diff, nondominated_filter
 from .model import (
     CoPslModel,
-    LayerSlot,
     ModelArchitecture,
     backward_all,
     build_model,
@@ -35,6 +35,7 @@ from .model import (
     param_layout,
     save_checkpoint,
 )
+from .nn import DenseLayer
 from .optim import adam_step, init_adam_state
 from .problems import MopDefinition, ProblemSuite, builtin_suite, map_unit_to_box, suite_from_names, true_front_hv
 from .sampling import RNG_ALGORITHM, RngStream, sample_preferences, uniform_preference_grid
@@ -43,6 +44,12 @@ from .scalarize import IdealPointTracker, LossSpec, batch_loss, chain_to_decisio
 CONFIG_VERSION = 1
 
 IDEAL_UPDATE_MODES = ("before-loss", "after-loss")
+
+INT_FIELDS = ("cosmos_sign", "iterations", "batch_size", "shared_depth", "seed", "eval_grid", "eval_interval")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,8 @@ class RunConfig:
     def __post_init__(self):
         if isinstance(self.suite, (list, tuple)):
             object.__setattr__(self, "suite", tuple(str(s) for s in self.suite))
+        if not all(_is_int(h) for h in self.hidden_sizes):
+            raise ConfigurationError(f"hidden_sizes must be integers, got {list(self.hidden_sizes)}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if self.dirichlet_alpha is not None:
             object.__setattr__(
@@ -89,6 +98,10 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
@@ -104,6 +117,33 @@ class RunConfig:
                 f"ideal_update must be one of {IDEAL_UPDATE_MODES}, got {self.ideal_update!r}"
             )
         self.loss_spec()  # validates loss kind and hyperparameters
+
+    def check_suite(self, suite: ProblemSuite) -> tuple[ModelArchitecture, np.ndarray, np.ndarray]:
+        """Check the config against the problems it trains, before any training.
+
+        Returns the model architecture (which checks ``shared_depth`` against
+        ``hidden_sizes``), the per-problem weights and the Dirichlet
+        parameters; raises :class:`ConfigurationError` naming the first
+        mismatch.
+        """
+        k, m = suite.num_mops, suite.num_objectives
+        weights = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
+        if weights.shape != (k,):
+            raise ConfigurationError(f"expected {k} MOP weights, got {weights.shape[0]}")
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+            raise ConfigurationError(f"MOP weights must be finite and nonnegative, got {weights.tolist()}")
+        alpha = np.ones(m) if self.dirichlet_alpha is None else np.asarray(self.dirichlet_alpha, dtype=np.float64)
+        if alpha.shape != (m,):
+            raise ConfigurationError(f"expected {m} Dirichlet parameters, got {alpha.shape[0]}")
+        if not (np.isfinite(alpha).all() and (alpha > 0.0).all()):
+            raise ConfigurationError(f"Dirichlet parameters must be finite and positive, got {alpha.tolist()}")
+        arch = ModelArchitecture(
+            num_objectives=m,
+            hidden_sizes=self.hidden_sizes,
+            shared_depth=self.shared_depth,
+            output_dims=suite.output_dims,
+        )
+        return arch, weights, alpha
 
     def loss_spec(self) -> LossSpec:
         return LossSpec(
@@ -135,7 +175,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown config keys: {unknown}")
         try:
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed config: {exc}") from exc
 
 
@@ -220,9 +260,12 @@ def _param_digest(model: CoPslModel) -> str:
     return hashlib.sha256(model.params).hexdigest()
 
 
-def _nonfinite_gradient_message(slots: list[LayerSlot], suite: ProblemSuite, iteration: int) -> str:
+def _nonfinite_gradient_message(layers: list[DenseLayer], suite: ProblemSuite, iteration: int) -> str:
     """Name every given layer, with its head's problem."""
-    names = [s.describe() + ("" if s.mop is None else f" (MOP '{suite.problems[s.mop].name}')") for s in slots]
+    names = [
+        layer.describe() + ("" if layer.mop is None else f" (MOP '{suite.problems[layer.mop].name}')")
+        for layer in layers
+    ]
     return f"non-finite gradient at iteration {iteration} in {', '.join(names)}"
 
 
@@ -238,22 +281,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         suite = config.resolve_suite()
     m = suite.num_objectives
     k = suite.num_mops
-
-    weights = np.ones(k) if config.weights is None else np.asarray(config.weights, dtype=np.float64)
-    if weights.shape != (k,):
-        raise ConfigurationError(f"expected {k} MOP weights, got {weights.shape[0]}")
-    if (weights < 0.0).any():
-        raise ConfigurationError("MOP weights must be nonnegative")
-    alpha = np.ones(m) if config.dirichlet_alpha is None else np.asarray(config.dirichlet_alpha, dtype=np.float64)
-    if alpha.shape != (m,):
-        raise ConfigurationError(f"expected {m} Dirichlet parameters, got {alpha.shape[0]}")
-
-    arch = ModelArchitecture(
-        num_objectives=m,
-        hidden_sizes=config.hidden_sizes,
-        shared_depth=config.shared_depth,
-        output_dims=suite.output_dims,
-    )
+    arch, weights, alpha = config.check_suite(suite)
     init_rng = RngStream(config.seed, stream=0)
     pref_rng = RngStream(config.seed, stream=1)
     model = build_model(arch, init_rng)
@@ -261,7 +289,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         model.params, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
     tracker = IdealPointTracker(k, m)
-    output_layers = {slot.mop: slot for slot in param_layout(arch)}  # the last layer of each head
+    output_layers = {layer.mop: layer for layer in param_layout(arch)}  # the last layer of each head
     spec = config.loss_spec()
     grid_size = config.eval_grid or _default_grid_size(m)
     grid = uniform_preference_grid(m, grid_size)
@@ -336,9 +364,9 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
 
         grads = backward_all(model, caches, output_grads, weights)
         if config.strict_weight_gating and zero_weight:
-            for slot in param_layout(arch):
-                if slot.mop in zero_weight:
-                    grads[slot.span] = 0.0
+            for layer in param_layout(arch):
+                if layer.mop in zero_weight:
+                    grads[layer.span] = 0.0
         if not np.isfinite(grads).all():
             bad = nonfinite_layers(arch, grads)
             raise TrainingDivergedError(_nonfinite_gradient_message(bad, suite, iteration))
@@ -395,14 +423,16 @@ def run_ablation(config: RunConfig, seeds=(0,)) -> tuple[list[dict], list[dict]]
 def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
     """Run one config across all seeds and aggregate final metrics.
 
-    Failures are recorded per seed and excluded from the statistics; they do
-    not abort the batch. With ``out_dir`` set, every run's record, loss and
-    evaluation series, and final checkpoint are persisted there, tagged
-    ``seed<S>``.
+    A config that does not fit its suite raises :class:`ConfigurationError`
+    before any seed trains. Runs that fail are recorded per seed and excluded
+    from the statistics; they do not abort the batch. With ``out_dir`` set,
+    every run's record, loss and evaluation series, and final checkpoint are
+    persisted there, tagged ``seed<S>``.
     """
     if len(seeds) < 1:
         raise ConfigurationError("need at least one seed")
     suite = config.resolve_suite()
+    config.check_suite(suite)
     records: list[RunRecord] = []
     failures: list[dict] = []
     artifacts: list[str] = []

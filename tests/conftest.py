@@ -75,6 +75,43 @@ def brute_force_nondominated(points: np.ndarray) -> np.ndarray:
     return np.array(keep)
 
 
+def hv_monte_carlo(points, reference, samples: int, rng) -> tuple[float, float]:
+    """Monte Carlo hypervolume estimate with its binomial standard error.
+
+    Samples uniformly, in chunks, in the box spanned by the componentwise
+    minimum of the points and the reference point; a sample counts as a hit
+    when some point weakly dominates it. Each chunk is tested against one
+    point and one objective at a time, on contiguous columns of the draws,
+    which keeps the temporaries at one boolean per draw.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
+    assert ref.shape == (pts.shape[1],) and samples >= 1
+    lower = pts.min(axis=0)
+    widths = ref - lower
+    if (widths <= 0.0).any():
+        return 0.0, 0.0
+    box_volume = float(np.prod(widths))
+    chunk = max(1024, int(2_000_000 // pts.shape[0]))
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        k = min(chunk, remaining)
+        columns = (lower + widths * rng.random((k, pts.shape[1]))).T.copy()
+        dominated = np.zeros(k, dtype=bool)
+        for point in pts:
+            hit = columns[0] >= point[0]
+            for column, value in zip(columns[1:], point[1:]):
+                hit &= column >= value
+            dominated |= hit
+        hits += int(dominated.sum())
+        remaining -= k
+    rate = hits / samples
+    estimate = box_volume * rate
+    std_error = box_volume * float(np.sqrt(rate * (1.0 - rate) / samples))
+    return estimate, std_error
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240815)

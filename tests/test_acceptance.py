@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from copsl.metrics import hv_2d, hv_3d, hv_monte_carlo, nondominated_filter
+from copsl.metrics import hv_2d, hv_3d, nondominated_filter
 from copsl.model import (
     CoPslModel,
     ModelArchitecture,
@@ -26,7 +26,7 @@ from copsl.sampling import RngStream, sample_preferences
 from copsl.scalarize import LossSpec, batch_loss, chain_to_decision, total_loss
 from copsl.trainer import RunConfig, run_batch, train_copsl, train_psl
 
-from conftest import brute_force_nondominated, max_relative_error
+from conftest import brute_force_nondominated, hv_monte_carlo, max_relative_error
 
 SEEDS = tuple(range(10))
 
@@ -89,10 +89,9 @@ def _end_to_end_case(model_seed: int, pref_seed: int):
     model = build_model(arch, RngStream(model_seed))
     prefs = sample_preferences(RngStream(pref_seed), (1.0, 1.0), 3)
     outputs, caches = forward_all(model, prefs)
-    for cache_list in [caches.trunk] + caches.heads:
-        for cache in cache_list:
-            if np.abs(cache.pre_activation).min() < 1e-4:
-                return None
+    for _, pre_activation in caches:
+        if np.abs(pre_activation).min() < 1e-4:
+            return None
     ideals = []
     for out in outputs:
         if out.min() < 0.01 or out.max() > 0.99:

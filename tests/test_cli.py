@@ -59,6 +59,28 @@ class TestRun:
         config.write_text(json.dumps({"iterations": 3, "learning_rat": 0.1}))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"hidden_sizes": [8], "shared_depth": 3}, "shared_depth must lie in [0, 1], got 3"),
+            ({"weights": [1.0]}, "expected 2 MOP weights, got 1"),
+            ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+            ({"eval_interval": 2.5}, "eval_interval must be an integer, got 2.5"),
+            ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"hidden_sizes": [8.5]}, "hidden_sizes must be integers, got [8.5]"),
+            ({"weights": ["x", 1.0]}, "malformed config: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path / "c.json", **overrides)
+        out = tmp_path / "out"
+        code = main(["run", "--config", config, "--out", str(out)])
+        assert code == 2
+        assert not out.exists() or not list(out.iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_failing_run_exits_1(self, tmp_path, capsys):
         # Stub problems have no evaluator, so training fails per seed.
         config = write_config(tmp_path / "c.json", suite="engineering-3d-stub")
@@ -91,6 +113,15 @@ class TestAblate:
                 assert float(delta) == 0.0
         ordered = [params_by_depth[d] for d in sorted(params_by_depth)]
         assert all(a > b for a, b in zip(ordered, ordered[1:]))
+
+    def test_bad_config_exits_2_before_any_variant(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", weights=[1.0])
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", config, "--seed", "0", "--seed", "1", "--out", str(out)]) == 2
+        assert not (out / "ablation.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected 2 MOP weights, got 1\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path / "c.json", hidden_sizes=[6, 6], iterations=2)
@@ -132,6 +163,15 @@ class TestHv:
         path = tmp_path / "front.csv"
         write_front_csv(str(path), np.array([[0.0, 0.0]]), np.array([1.1, 1.1]))
         assert main(["hv", "--front", str(path), "--ref", "1.1,1.1,1.1"]) == 2
+
+    @pytest.mark.parametrize("ref", ["nan,1", "inf,1", "1,-inf"])
+    def test_nonfinite_reference_exits_2(self, tmp_path, capsys, ref):
+        path = tmp_path / "front.csv"
+        write_front_csv(str(path), np.array([[0.5, 0.5]]), np.array([1.0, 1.0]))
+        assert main(["hv", "--front", str(path), "--ref", ref]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference point must be finite" in captured.err
 
     def test_four_objective_front_exits_2(self, tmp_path, capsys):
         path = tmp_path / "front.csv"

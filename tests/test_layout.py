@@ -13,6 +13,7 @@ from copsl.model import (
     ModelArchitecture,
     build_model,
     count_params,
+    layer_groups,
     load_checkpoint,
     param_layout,
     parameter_arrays,
@@ -57,16 +58,19 @@ def test_layout_tiles_params_and_layers_alias_it(arch, seed):
         i for i in range(arch.num_mops) for _ in range(len(arch.hidden_sizes) - arch.shared_depth + 1)
     ]
 
-    layers = list(model.trunk) + [layer for head in model.heads for layer in head]
-    assert len(layers) == len(layout)
-    for layer, slot in zip(layers, layout):
-        assert layer.activation == slot.activation
-        assert np.shares_memory(layer.weights, model.params)
-        assert np.shares_memory(layer.biases, model.params)
+    trunk, heads = layer_groups(arch)
+    assert trunk + sum(heads, ()) == tuple(range(len(layout)))
+    assert all(layout[k].mop is None for k in trunk)
+    assert all(layout[k].mop == i for i, head in enumerate(heads) for k in head)
+    for slot in layout:
+        weights, biases = slot.views(model.params)
+        assert weights.shape == (slot.fan_out, slot.fan_in) and biases.shape == (slot.fan_out,)
+        assert np.shares_memory(weights, model.params)
+        assert np.shares_memory(biases, model.params)
         model.params[slot.weights.start] += 1.0
         model.params[slot.biases.stop - 1] -= 1.0
-        assert np.array_equal(layer.weights.ravel(), model.params[slot.weights])
-        assert np.array_equal(layer.biases, model.params[slot.biases])
+        assert np.array_equal(weights.ravel(), model.params[slot.weights])
+        assert np.array_equal(biases, model.params[slot.biases])
     flat = np.concatenate([a.ravel() for a in parameter_arrays(model)])
     assert flat.tobytes() == model.params.tobytes()
 

@@ -5,7 +5,6 @@ from copsl.errors import InputError
 from copsl.metrics import (
     hv_2d,
     hv_3d,
-    hv_monte_carlo,
     log_hv_diff,
     nondominated_filter,
     read_front_csv,
@@ -14,7 +13,7 @@ from copsl.metrics import (
 from copsl.problems import get_problem, true_front_hv
 from copsl.sampling import RngStream
 
-from conftest import brute_force_nondominated
+from conftest import brute_force_nondominated, hv_monte_carlo
 
 
 def random_front(rng, m, count):
@@ -65,6 +64,11 @@ class TestHv2d:
             np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.1, 1.1]), 400_000, RngStream(32)
         )
         assert abs(est - expected) <= 3.0 * se
+
+    @pytest.mark.parametrize("ref", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf)])
+    def test_rejects_nonfinite_reference(self, ref):
+        with pytest.raises(InputError, match="reference point must be finite"):
+            hv_2d([[0.5, 0.5]], ref)
 
     def test_points_outside_reference_clipped(self):
         assert hv_2d([[2.0, 2.0]], (1.1, 1.1)) == 0.0
@@ -128,6 +132,11 @@ class TestHv3d:
             exact = hv_3d(pts, ref)
             est, se = hv_monte_carlo(pts, ref, 200_000, mc_rng)
             assert abs(exact - est) <= 3.0 * se
+
+    @pytest.mark.parametrize("ref", [(1.0, np.nan, 1.0), (1.0, 1.0, np.inf)])
+    def test_rejects_nonfinite_reference(self, ref):
+        with pytest.raises(InputError, match="reference point must be finite"):
+            hv_3d([[0.5, 0.5, 0.5]], ref)
 
     def test_monotone_under_insertion(self):
         rng = RngStream(37)

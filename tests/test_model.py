@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from copsl.errors import CheckpointError, ConfigurationError, InputError
+from copsl.errors import CheckpointError, ConfigurationError, InputError, InternalError
 from copsl.model import (
     CoPslModel,
     ModelArchitecture,
@@ -10,12 +10,13 @@ from copsl.model import (
     count_flops,
     count_params,
     forward_all,
+    layer_groups,
     load_checkpoint,
     param_layout,
     parameter_arrays,
     save_checkpoint,
 )
-from copsl.nn import layer_forward
+from copsl.nn import layer_backward, layer_forward
 from copsl.sampling import RngStream, sample_preferences
 
 
@@ -23,29 +24,38 @@ def simplex_batch(seed, m, batch):
     return sample_preferences(RngStream(seed), (1.0,) * m, batch)
 
 
+def trunk_and_heads(arch):
+    """The trunk's layers and each head's, by :func:`layer_groups`."""
+    layout = param_layout(arch)
+    trunk, heads = layer_groups(arch)
+    return [layout[k] for k in trunk], [[layout[k] for k in head] for head in heads]
+
+
 class TestArchitecture:
     def test_paper_style_split(self):
         arch = ModelArchitecture(2, (256, 256), 1, (6,) * 6)
         model = build_model(arch, RngStream(0))
-        assert len(model.trunk) == 1
-        assert model.trunk[0].weights.shape == (256, 2)
-        assert len(model.heads) == 6
-        for head in model.heads:
-            assert [l.weights.shape for l in head] == [(256, 256), (6, 256)]
+        trunk, heads = trunk_and_heads(arch)
+        assert len(trunk) == 1
+        assert trunk[0].views(model.params)[0].shape == (256, 2)
+        assert len(heads) == 6
+        for head in heads:
+            assert [l.views(model.params)[0].shape for l in head] == [(256, 256), (6, 256)]
             assert [l.activation for l in head] == ["relu", "sigmoid"]
 
     def test_unshared_single_head_is_flat_network(self):
         arch = ModelArchitecture(2, (256, 256), 0, (6,))
         model = build_model(arch, RngStream(0))
-        assert model.trunk == ()
-        shapes = [l.weights.shape for l in model.heads[0]]
+        trunk, heads = trunk_and_heads(arch)
+        assert trunk == []
+        shapes = [l.views(model.params)[0].shape for l in heads[0]]
         assert shapes == [(256, 2), (256, 256), (6, 256)]
 
     def test_fully_shared_trunk(self):
         arch = ModelArchitecture(2, (180, 180, 180), 3, (6, 6))
-        model = build_model(arch, RngStream(0))
-        assert len(model.trunk) == 3
-        for head in model.heads:
+        trunk, heads = trunk_and_heads(arch)
+        assert len(trunk) == 3
+        for head in heads:
             assert len(head) == 1
             assert head[0].activation == "sigmoid"
 
@@ -57,6 +67,16 @@ class TestArchitecture:
             for depth in (0, 1)
         ]
         assert separate - shared == (3 - 1) * (2 * 64 + 64)
+
+    def test_nonfinite_params_rejected_naming_the_layer(self):
+        arch = ModelArchitecture(2, (8, 8), 1, (4, 5))
+        model = build_model(arch, RngStream(0))
+        for layer in param_layout(arch):
+            for index, value in ((layer.weights.start, np.nan), (layer.biases.stop - 1, -np.inf)):
+                params = model.params.copy()
+                params[index] = value
+                with pytest.raises(ConfigurationError, match=f"non-finite parameters in {layer.describe()}$"):
+                    CoPslModel(arch, params)
 
     def test_invariant_violations(self):
         with pytest.raises(ConfigurationError):
@@ -111,8 +131,9 @@ class TestForward:
         prefs = simplex_batch(9, 2, 5)
         outputs, _ = forward_all(model, prefs)
         h = prefs
-        for layer in list(model.trunk) + list(model.heads[0]):
-            h, _ = layer_forward(layer, h)
+        trunk, heads = trunk_and_heads(arch)
+        for layer in trunk + heads[0]:
+            h, _ = layer_forward(layer, model.params, h)
         assert np.array_equal(outputs[0], h)
 
 
@@ -135,15 +156,15 @@ class TestBackwardRouting:
         outputs, caches = forward_all(model, prefs)
         g = [RngStream(15).standard_normal(outputs[0].shape)]
         routed = backward_all(model, caches, g, np.array([1.0]))
-        # Reference: plain backprop through the flat layer list.
-        from copsl.nn import layer_backward
-
-        layers = list(model.trunk) + list(model.heads[0])
-        flat_caches = list(caches.trunk) + list(caches.heads[0])
+        # Reference: plain backprop through the flat layer list, whose caches
+        # forward_all returns in layout order.
+        trunk, heads = trunk_and_heads(arch)
+        layers = trunk + heads[0]
+        assert layers == list(param_layout(arch))
         upstream = g[0]
         grads = []
-        for layer, cache in zip(reversed(layers), reversed(flat_caches)):
-            dw, db, upstream = layer_backward(layer, cache, upstream)
+        for layer, cache in zip(reversed(layers), reversed(caches)):
+            dw, db, upstream = layer_backward(layer, model.params, cache, upstream)
             grads.append((dw, db))
         grads = grads[::-1]
         trunk0, head0 = param_layout(arch)[:2]
@@ -191,6 +212,13 @@ class TestBackwardRouting:
         with pytest.raises(InputError):
             self.run_backward([1.0, -1.0])
 
+    def test_rejects_output_gradient_of_another_shape(self):
+        # A (1, n) gradient would broadcast against the (batch, n) output
+        # without an error; backward_all checks each head's shape once.
+        for bad in (self.grads_out[1][:1], self.grads_out[1][:, :3], self.grads_out[1].T):
+            with pytest.raises(InternalError, match=r"head 1 output \(6, 4\)"):
+                backward_all(self.model, self.caches, [self.grads_out[0], bad], np.ones(2))
+
 
 class TestCounts:
     def test_six_separate_baseline_models(self):
@@ -232,7 +260,7 @@ class TestCheckpoint:
         loaded, metadata = load_checkpoint(path)
         assert metadata["suite"] == ["zdt1", "zdt2"]
         assert count_params(loaded) == count_params(model)
-        for a, b in zip(parameter_arrays(model), parameter_arrays(loaded)):
+        for a, b in zip(parameter_arrays(model), parameter_arrays(loaded), strict=True):
             assert np.array_equal(a, b)
         assert loaded.arch == model.arch
 

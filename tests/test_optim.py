@@ -67,11 +67,14 @@ class TestAdam:
 
     def test_updates_show_through_layer_views(self):
         model = tiny_model()
-        layer = model.trunk[0]
+        layer = param_layout(model.arch)[0]
+        weights, _ = layer.views(model.params)
+        before = weights.copy()
         state = init_adam_state(model.params)
         adam_step(model.params, grads_like(model, 1.0), state, 1e-3)
-        assert model.trunk[0] is layer
-        assert np.array_equal(layer.weights.ravel(), model.params[trunk_weights(model)])
+        assert param_layout(model.arch)[0] is layer
+        assert not np.array_equal(weights, before)
+        assert np.array_equal(weights.ravel(), model.params[trunk_weights(model)])
 
     def test_rejects_misshaped_gradient(self):
         from copsl.errors import InternalError
@@ -122,7 +125,8 @@ class TestAdam:
         model = tiny_model()
         # Zero out everything except one scalar to mirror the recurrence.
         model.params[...] = 0.0
-        model.trunk[0].weights[0, 0] = 1.0
+        weights, _ = param_layout(model.arch)[0].views(model.params)
+        weights[0, 0] = 1.0
         state = init_adam_state(model.params)
         g1 = grads_like(model, 0.0)
         g1[0] = 1.0
@@ -130,4 +134,4 @@ class TestAdam:
         g2 = grads_like(model, 0.0)
         g2[0] = 0.5
         adam_step(model.params, g2, state, lr)
-        assert model.trunk[0].weights[0, 0] == pytest.approx(p, rel=1e-12)
+        assert weights[0, 0] == pytest.approx(p, rel=1e-12)

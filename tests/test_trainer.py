@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import copsl.problems as problems_mod
 import copsl.trainer as trainer_mod
 from copsl.errors import ConfigurationError, TrainingDivergedError
 from copsl.model import backward_all, count_params, param_layout
@@ -40,6 +41,23 @@ def tiny_config(**overrides):
 ZDT_PAIR = suite_from_names(["zdt1", "zdt2"], "zdt-pair")
 
 
+@pytest.fixture
+def nan_problem(monkeypatch):
+    """Register, for one test, 'zdt1-nan': zdt1 whose objectives turn NaN on
+    training batches of 5 rows (not on the evaluation grid). Returns its name."""
+    base = get_problem("zdt1")
+
+    def exploding(x):
+        out = base.evaluate_batch(x).copy()
+        if x.shape[0] == 5:
+            out[:, 1] = np.nan
+        return out
+
+    problem = dataclasses.replace(base, name="zdt1-nan", evaluate_batch=exploding)
+    monkeypatch.setitem(problems_mod._REGISTRY, problem.name, problem)
+    return problem.name
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = tiny_config(weights=(1.0, 2.0))
@@ -59,6 +77,45 @@ class TestConfig:
             tiny_config(loss="nope")
         with pytest.raises(ConfigurationError):
             tiny_config(ideal_update="sometimes")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("iterations", 2.5),
+            ("eval_interval", 2.5),
+            ("seed", "x"),
+            ("batch_size", True),
+            ("shared_depth", 1.0),
+            ("hidden_sizes", [8.5]),
+            ("hidden_sizes", [8, "8"]),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, key, value):
+        data = tiny_config().to_dict()
+        data[key] = value
+        with pytest.raises(ConfigurationError, match=f"{key} must be"):
+            RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(hidden_sizes=(8,), shared_depth=3), r"shared_depth must lie in \[0, 1\], got 3"),
+            (dict(weights=(1.0,)), "expected 2 MOP weights, got 1"),
+            (dict(weights=(1.0, -1.0)), "MOP weights must be finite and nonnegative"),
+            (dict(weights=(1.0, float("nan"))), "MOP weights must be finite and nonnegative"),
+            (dict(dirichlet_alpha=(1.0, 1.0, 1.0)), "expected 2 Dirichlet parameters, got 3"),
+            (dict(dirichlet_alpha=(1.0, 0.0)), "Dirichlet parameters must be finite and positive"),
+        ],
+    )
+    def test_suite_mismatch_raises_before_any_training(self, monkeypatch, overrides, message):
+        config = tiny_config(**overrides)
+        with pytest.raises(ConfigurationError, match=message):
+            config.check_suite(ZDT_PAIR)
+        with pytest.raises(ConfigurationError, match=message):
+            train_copsl(config, ZDT_PAIR)
+        monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ConfigurationError, match=message):
+            run_batch(config, seeds=(0, 1))
 
 
 class TestTrainingLoop:
@@ -196,9 +253,11 @@ class TestTrainingLoop:
         # Head 0 must be bitwise identical to its initialization; rebuild the
         # initial model by training zero iterations is not possible, so
         # compare across run lengths instead.
-        for layer_a, layer_b in zip(model.heads[0], fresh.heads[0]):
-            assert np.array_equal(layer_a.weights, layer_b.weights)
-            assert np.array_equal(layer_a.biases, layer_b.biases)
+        head0 = [layer for layer in param_layout(model.arch) if layer.mop == 0]
+        assert head0
+        for layer in head0:
+            assert np.array_equal(model.params[layer.weights], fresh.params[layer.weights])
+            assert np.array_equal(model.params[layer.biases], fresh.params[layer.biases])
 
     def test_ideal_update_mode_changes_trajectory(self):
         before = train_copsl(tiny_config(iterations=15), ZDT_PAIR)[1]
@@ -288,17 +347,22 @@ class TestAblation:
             else:
                 assert row["delta_hv"] is not None
 
-    def test_failures_recorded_not_fatal(self):
-        # Mismatched weight length makes every variant fail; the sweep still
+    def test_failures_recorded_not_fatal(self, nan_problem):
+        # Every variant diverges at its first iteration; the sweep still
         # returns instead of raising.
-        cfg = tiny_config(suite=("zdt1",), iterations=2, hidden_sizes=(4,), weights=(1.0, 1.0))
+        cfg = tiny_config(suite=(nan_problem,), iterations=2, hidden_sizes=(4,))
         rows, failures = run_ablation(cfg, seeds=(0,))
         assert rows == []
         assert len(failures) == 2
         for depth, failure in enumerate(failures):
             assert failure["shared_depth"] == depth
             assert failure["seed"] == 0
-            assert "expected 1 MOP weights" in failure["error"]
+            assert "non-finite objective values for MOP 'zdt1-nan' (index 0) at iteration 1" in failure["error"]
+
+    def test_config_error_raises_before_any_variant(self):
+        cfg = tiny_config(suite=("zdt1",), iterations=2, hidden_sizes=(4,), weights=(1.0, 1.0))
+        with pytest.raises(ConfigurationError, match="expected 1 MOP weights"):
+            run_ablation(cfg, seeds=(0,))
 
     def test_no_seeds_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):
@@ -328,8 +392,9 @@ class TestRunBatch:
         assert a["mean_final_hv"] == b["mean_final_hv"]
         assert a["std_final_hv"] == b["std_final_hv"]
 
-    def test_failure_is_recorded(self):
-        cfg = tiny_config(weights=(1.0,))  # wrong length for the two-problem suite
+    def test_failure_is_recorded(self, nan_problem):
+        cfg = tiny_config(suite=("zdt1", nan_problem))  # diverges at iteration 1
         s = run_batch(cfg, seeds=(0,))
         assert s["records"] == []
         assert len(s["failures"]) == 1
+        assert "MOP 'zdt1-nan' (index 1) at iteration 1" in s["failures"][0]["error"]
