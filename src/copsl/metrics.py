@@ -173,7 +173,10 @@ def read_front_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("front file header reference does not match m")
     rows = []
     for line in lines[2:]:  # skip the column-name line
-        values = [float(v) for v in line.split(",")]
+        try:
+            values = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise InputError(f"front row {line!r} is not a comma-separated list of numbers") from None
         if len(values) != m:
             raise InputError(f"front row has {len(values)} values, expected {m}")
         rows.append(values)

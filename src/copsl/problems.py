@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,37 +128,26 @@ class MopDefinition:
     def is_stub(self) -> bool:
         return self.evaluate_batch is None
 
-    def _prepare(self, x) -> tuple[np.ndarray, bool]:
+    def _prepare(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.num_variables:
-            raise InputError(f"{self.name}: expected points of dimension {self.num_variables}, got shape {np.shape(x)}")
+            raise InputError(f"{self.name}: expected an (N, {self.num_variables}) matrix of points, got shape {arr.shape}")
         tol = 1e-9 * np.maximum(1.0, np.abs(self.bounds.upper))
         if (arr < self.bounds.lower - tol).any() or (arr > self.bounds.upper + tol).any():
             raise InputError(f"{self.name}: point outside the box bounds")
-        return arr, single
+        return arr
 
     def evaluate(self, x) -> np.ndarray:
-        """Objective values at ``x`` (a point or a batch of points)."""
+        """Objective values, (N, m), at the rows of an (N, n) decision matrix."""
         if self.evaluate_batch is None:
-            raise ConfigurationError(
-                f"problem '{self.name}' is a stub; register an evaluator before use"
-            )
-        arr, single = self._prepare(x)
-        out = self.evaluate_batch(arr)
-        return out[0] if single else out
+            raise ConfigurationError(f"problem '{self.name}' is a stub; register an evaluator before use")
+        return self.evaluate_batch(self._prepare(x))
 
     def jacobian(self, x) -> np.ndarray:
-        """Analytic Jacobian dF/dx at ``x``, shape (m, n) or (N, m, n)."""
+        """Jacobians dF/dx, (N, m, n), at the rows of an (N, n) decision matrix."""
         if self.jacobian_batch is None:
-            raise ConfigurationError(
-                f"problem '{self.name}' has no Jacobian; register an evaluator first"
-            )
-        arr, single = self._prepare(x)
-        out = self.jacobian_batch(arr)
-        return out[0] if single else out
+            raise ConfigurationError(f"problem '{self.name}' has no Jacobian; register an evaluator first")
+        return self.jacobian_batch(self._prepare(x))
 
 
 @dataclass(frozen=True)
@@ -198,18 +188,14 @@ class ProblemSuite:
 def finite_difference_jacobian(
     evaluate_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference Jacobian stack with step rel_step * (1 + |x_j|)."""
+    """Central-difference Jacobians (N, m, n) of (N, n) points, step rel_step * (1 + |x_j|)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     n = x.shape[1]
-    base = evaluate_batch(x)
-    m = base.shape[1]
+    m = evaluate_batch(x).shape[1]
     jac = np.empty((x.shape[0], m, n), dtype=np.float64)
     for j in range(n):
         step = rel_step * (1.0 + np.abs(x[:, j]))
-        hi = x.copy()
-        lo = x.copy()
+        hi, lo = x.copy(), x.copy()
         hi[:, j] += step
         lo[:, j] -= step
         jac[:, :, j] = (evaluate_batch(hi) - evaluate_batch(lo)) / (2.0 * step)[:, None]
@@ -224,8 +210,7 @@ def jacobian_check(mop: MopDefinition, samples: int, rng) -> float:
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    u = rng.random((samples, mop.num_variables))
-    x = mop.bounds.lower + mop.bounds.widths * u
+    x, _ = map_unit_to_box(rng.random((samples, mop.num_variables)), mop.bounds)
     analytic = mop.jacobian(x)
     numeric = finite_difference_jacobian(mop.evaluate_batch, x)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
@@ -492,10 +477,7 @@ def register_evaluator(
     """
     base = get_problem(name)
     if jacobian_batch is None:
-        def fallback_jacobian(x):
-            return finite_difference_jacobian(evaluate_batch, x)
-
-        jacobian_batch = fallback_jacobian
+        jacobian_batch = partial(finite_difference_jacobian, evaluate_batch)
 
     completed = replace(
         base,

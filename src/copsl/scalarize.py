@@ -1,7 +1,7 @@
-"""Preference-conditioned scalarization losses and their gradients.
+"""Preference-conditioned scalarization losses and their gradients, on batches.
 
-Four reductions of an objective vector F to a training scalar, each returning
-the loss value together with its gradient with respect to F:
+:func:`batch_loss` reduces each row F of a (B, m) objective batch to a
+training scalar, by one of four kinds that :class:`LossSpec` selects:
 
     ls      linear scalarization          sum_j p_j F_j
     cosmos  ls plus a cosine-similarity term between p and F
@@ -15,6 +15,7 @@ positive even when F touches z*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
+        for name in ("gamma", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "cosmos" and not self.gamma > 0.0:
             raise ConfigurationError(f"cosmos penalty gamma must be positive, got {self.gamma}")
         if self.kind in ("tch", "mtch") and not self.epsilon > 0.0:
@@ -70,40 +74,17 @@ class IdealPointTracker:
         return self._z[mop_index].copy()
 
 
-def _as_batch(objectives, preferences):
-    f = np.asarray(objectives, dtype=np.float64)
-    p = np.asarray(preferences, dtype=np.float64)
-    single = f.ndim == 1
-    f = np.atleast_2d(f)
-    p = np.atleast_2d(p)
-    if f.shape != p.shape:
-        raise InputError(f"objective shape {f.shape} does not match preference shape {p.shape}")
-    return f, p, single
-
-
-def _unbatch(values, grads, single):
-    if single:
-        return float(values[0]), grads[0]
-    return values, grads
-
-
-def loss_ls(objectives, preferences):
+def _linear(spec: LossSpec, f, p, z):
     """Linear scalarization: value sum_j p_j F_j, gradient p."""
-    f, p, single = _as_batch(objectives, preferences)
-    values = (p * f).sum(axis=1)
-    return _unbatch(values, p.copy(), single)
+    return (p * f).sum(axis=1), p
 
 
-def loss_cosmos(objectives, preferences, gamma: float, sign: int = -1):
-    """Linear scalarization plus a signed cosine-similarity term.
+def _cosmos(spec: LossSpec, f, p, z):
+    """Linear scalarization plus sign * gamma * cos(p, F).
 
-    value = sum_j p_j F_j + sign * gamma * cos(p, F). A zero-norm F makes the
-    cosine direction degenerate; the term and its gradient are defined as 0
-    there.
+    A zero-norm F makes the cosine direction degenerate; the term and its
+    gradient are defined as 0 there.
     """
-    if sign not in (-1, 1):
-        raise InputError(f"sign must be +1 or -1, got {sign}")
-    f, p, single = _as_batch(objectives, preferences)
     dot = (p * f).sum(axis=1)
     norm_p = np.linalg.norm(p, axis=1)
     norm_f = np.linalg.norm(f, axis=1)
@@ -111,93 +92,66 @@ def loss_cosmos(objectives, preferences, gamma: float, sign: int = -1):
     denom = np.where(ok, norm_p * norm_f, 1.0)
     safe_norm_f = np.where(ok, norm_f, 1.0)
     cos = np.where(ok, dot / denom, 0.0)
-    values = dot + sign * gamma * cos
+    values = dot + spec.cosine_sign * spec.gamma * cos
     # d cos / dF = p / (|p||F|) - (p.F) F / (|p||F|^3)
     cos_grad = p / denom[:, None] - (dot / (denom * safe_norm_f**2))[:, None] * f
-    grads = p + sign * gamma * np.where(ok[:, None], cos_grad, 0.0)
-    return _unbatch(values, grads, single)
+    grads = p + spec.cosine_sign * spec.gamma * np.where(ok[:, None], cos_grad, 0.0)
+    return values, grads
 
 
-def _tch_core(objectives, preferences, ideal, epsilon, reciprocal: bool):
-    f, p, single = _as_batch(objectives, preferences)
-    z = np.asarray(ideal, dtype=np.float64)
-    if z.shape != (f.shape[1],):
-        raise InputError(f"ideal point must have length {f.shape[1]}")
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    if reciprocal:
-        if (p < MIN_PREFERENCE).any():
-            raise InputError(
-                f"mtch needs every preference component >= {MIN_PREFERENCE}"
-            )
-        weights = 1.0 / p
-    else:
-        weights = p
-    terms = weights * (f - (z - epsilon))
+def _tch(spec: LossSpec, f, weights, z):
+    """Tchebycheff loss: max_j w_j (F_j - (z*_j - eps)) with w = p, one-hot gradient."""
+    terms = weights * (f - (z - spec.epsilon))
     best = terms.argmax(axis=1)  # argmax takes the lowest index on ties
     rows = np.arange(f.shape[0])
-    values = terms[rows, best]
     grads = np.zeros_like(f)
     grads[rows, best] = weights[rows, best]
-    return _unbatch(values, grads, single)
+    return terms[rows, best], grads
 
 
-def loss_tch(objectives, preferences, ideal, epsilon: float):
-    """Tchebycheff loss: max_j p_j (F_j - (z*_j - eps)), one-hot gradient."""
-    return _tch_core(objectives, preferences, ideal, epsilon, reciprocal=False)
+def _mtch(spec: LossSpec, f, p, z):
+    """Modified Tchebycheff loss: the Tchebycheff loss with w = 1/p."""
+    if (p < MIN_PREFERENCE).any():
+        raise InputError(f"mtch needs every preference component >= {MIN_PREFERENCE}")
+    return _tch(spec, f, 1.0 / p, z)
 
 
-def loss_mtch(objectives, preferences, ideal, epsilon: float):
-    """Modified Tchebycheff loss: max_j (1/p_j) (F_j - (z*_j - eps))."""
-    return _tch_core(objectives, preferences, ideal, epsilon, reciprocal=True)
+# kind -> (spec, (B, m) objectives, (B, m) preferences, (m,) ideal) -> (values, grads)
+_LOSSES = {"ls": _linear, "cosmos": _cosmos, "tch": _tch, "mtch": _mtch}
 
 
 def chain_to_decision(objective_grads, jacobians, box_derivatives) -> np.ndarray:
-    """Pull a gradient in objective space back to the unit-cube outputs.
+    """Pull a batch of objective-space gradients back to the unit-cube outputs.
 
-    Computes (J^T g) * box_derivative elementwise, for a single sample
-    ((m,), (m, n), (n,)) or a batch ((B, m), (B, m, n), (B, n)).
+    Computes (J_b^T g_b) * box_derivative_b elementwise for every row b of
+    (B, m) gradients, (B, m, n) Jacobians and (B, n) box derivatives.
     """
     g = np.asarray(objective_grads, dtype=np.float64)
     jac = np.asarray(jacobians, dtype=np.float64)
     box = np.asarray(box_derivatives, dtype=np.float64)
-    single = g.ndim == 1
-    g = np.atleast_2d(g)
-    box = np.atleast_2d(box)
-    if jac.ndim == 2:
-        jac = jac[None, :, :]
-    if jac.shape[0] != g.shape[0] or jac.shape[1] != g.shape[1] or jac.shape[2] != box.shape[1]:
-        raise InternalError(
-            f"gradient {g.shape}, jacobian {jac.shape}, and box derivative {box.shape} disagree"
-        )
-    pulled = np.einsum("bmn,bm->bn", jac, g) * box
-    return pulled[0] if single else pulled
+    if jac.ndim != 3 or g.shape != jac.shape[:2] or box.shape != (jac.shape[0], jac.shape[2]):
+        raise InternalError(f"gradient {g.shape}, jacobian {jac.shape}, and box derivative {box.shape} disagree")
+    return np.einsum("bmn,bm->bn", jac, g) * box
 
 
-def batch_loss(spec: LossSpec, objectives, preferences, ideal=None):
+def batch_loss(spec: LossSpec, objectives, preferences, ideal):
     """Mean loss over a batch plus per-sample gradients carrying the 1/B factor.
 
-    Returns (value, grads) where value = mean_b loss(F_b | p_b) and
-    grads[b] = d value / d F_b, so summing backpropagated sample gradients
-    yields the gradient of the mean directly.
+    (B, m) objectives and preferences, B >= 1, and the (m,) ideal point, which
+    ls and cosmos ignore. Returns (value, grads): value = mean_b loss(F_b | p_b)
+    and grads[b] = d value / d F_b, so backpropagated rows sum to the mean's gradient.
     """
     f = np.asarray(objectives, dtype=np.float64)
+    p = np.asarray(preferences, dtype=np.float64)
+    z = np.asarray(ideal, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] == 0:
         raise InputError("batch_loss needs a nonempty (B, m) objective matrix")
-    if spec.kind == "ls":
-        values, grads = loss_ls(f, preferences)
-    elif spec.kind == "cosmos":
-        values, grads = loss_cosmos(f, preferences, spec.gamma, spec.cosine_sign)
-    elif spec.kind == "tch":
-        if ideal is None:
-            raise InputError("tch needs the tracked ideal point")
-        values, grads = loss_tch(f, preferences, ideal, spec.epsilon)
-    else:
-        if ideal is None:
-            raise InputError("mtch needs the tracked ideal point")
-        values, grads = loss_mtch(f, preferences, ideal, spec.epsilon)
-    batch = f.shape[0]
-    return float(values.mean()), grads / batch
+    if p.shape != f.shape:
+        raise InputError(f"objective shape {f.shape} does not match preference shape {p.shape}")
+    if z.shape != (f.shape[1],):
+        raise InputError(f"ideal point must have length {f.shape[1]}, got shape {z.shape}")
+    values, grads = _LOSSES[spec.kind](spec, f, p, z)
+    return float(values.mean()), grads / f.shape[0]
 
 
 def total_loss(mop_losses, weights) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 import time
@@ -106,8 +107,15 @@ class RunConfig:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigurationError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_epsilon > 0.0:
+            raise ConfigurationError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
         if self.eval_interval < 1:
             raise ConfigurationError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if self.eval_grid < 0:
@@ -423,22 +431,23 @@ def run_ablation(config: RunConfig, seeds=(0,)) -> tuple[list[dict], list[dict]]
 def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
     """Run one config across all seeds and aggregate final metrics.
 
-    A config that does not fit its suite raises :class:`ConfigurationError`
-    before any seed trains. Runs that fail are recorded per seed and excluded
-    from the statistics; they do not abort the batch. With ``out_dir`` set,
-    every run's record, loss and evaluation series, and final checkpoint are
-    persisted there, tagged ``seed<S>``.
+    A config that does not fit its suite, or a negative seed, raises
+    :class:`ConfigurationError` before any seed trains. Runs that fail are
+    recorded per seed and excluded from the statistics; they do not abort the
+    batch. With ``out_dir`` set, every run's record, loss and evaluation
+    series, and final checkpoint are persisted there, tagged ``seed<S>``.
     """
     if len(seeds) < 1:
         raise ConfigurationError("need at least one seed")
     suite = config.resolve_suite()
     config.check_suite(suite)
+    seeded = [dataclasses.replace(config, seed=seed) for seed in seeds]  # validates every seed
     records: list[RunRecord] = []
     failures: list[dict] = []
     artifacts: list[str] = []
-    for seed in seeds:
+    for seed, seed_config in zip(seeds, seeded):
         try:
-            model, record = train_copsl(dataclasses.replace(config, seed=seed), suite)
+            model, record = train_copsl(seed_config, suite)
         except CopslError as exc:
             failures.append({"seed": seed, "error": str(exc)})
             continue

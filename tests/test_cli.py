@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,12 @@ class TestRun:
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
             ({"hidden_sizes": [8.5]}, "hidden_sizes must be integers, got [8.5]"),
             ({"weights": ["x", 1.0]}, "malformed config: could not convert string to float: 'x'"),
+            ({"adam_beta1": 1.0}, "adam_beta1 must lie in [0, 1), got 1.0"),
+            ({"adam_beta2": 1.5}, "adam_beta2 must lie in [0, 1), got 1.5"),
+            ({"adam_epsilon": -1.0}, "adam_epsilon must be positive, got -1.0"),
+            ({"learning_rate": math.inf}, "learning_rate must be finite and positive, got inf"),
+            ({"loss": "cosmos", "gamma": math.inf}, "gamma must be finite, got inf"),
+            ({"seed": -5}, "seed must be >= 0, got -5"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
@@ -80,6 +87,16 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_negative_seed_exits_2_before_training(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        code = main(["run", "--config", config, "--seed", "0", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists() or not list(out.iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     def test_failing_run_exits_1(self, tmp_path, capsys):
         # Stub problems have no evaluator, so training fails per seed.
@@ -122,6 +139,15 @@ class TestAblate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: expected 2 MOP weights, got 1\n"
+
+    def test_negative_seed_exits_2_before_any_variant(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", config, "--seed", "0", "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists() or not list(out.iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path / "c.json", hidden_sizes=[6, 6], iterations=2)
@@ -180,6 +206,16 @@ class TestHv:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "2 or 3 objectives, got 4" in captured.err
+
+    def test_malformed_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "front.csv"
+        write_front_csv(str(path), np.array([[0.1, 0.2]]), np.array([1.0, 1.0]))
+        with open(path, "a") as handle:
+            handle.write("0.5,abc\n")
+        assert main(["hv", "--front", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: front row '0.5,abc' is not a comma-separated list of numbers\n"
 
     def test_embedded_reference_used_by_default(self, tmp_path, capsys):
         path = tmp_path / "front.csv"

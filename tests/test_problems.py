@@ -63,7 +63,7 @@ class TestBoxMapping:
             return mop.evaluate_batch(x[None, :])[0]
 
         x, deriv = map_unit_to_box(u, bounds)
-        chained = mop.jacobian(x) * deriv[None, :]
+        chained = mop.jacobian(x[None, :])[0] * deriv[None, :]
         step = 1e-7
         for j in range(6):
             hi, lo = u.copy(), u.copy()
@@ -80,25 +80,25 @@ class TestBoxMapping:
 class TestBuiltinEvaluations:
     def test_zdt1_extremes(self):
         mop = get_problem("zdt1")
-        assert np.allclose(mop.evaluate(np.zeros(6)), [0.0, 1.0])
-        x = np.zeros(6)
-        x[0] = 1.0
-        assert np.allclose(mop.evaluate(x), [1.0, 0.0])
+        assert np.allclose(mop.evaluate(np.zeros((1, 6)))[0], [0.0, 1.0])
+        x = np.zeros((1, 6))
+        x[0, 0] = 1.0
+        assert np.allclose(mop.evaluate(x)[0], [1.0, 0.0])
 
     def test_zdt2_front_point(self):
         mop = get_problem("zdt2")
-        x = np.zeros(6)
-        x[0] = 0.5
-        assert np.allclose(mop.evaluate(x), [0.5, 0.75])
+        x = np.zeros((1, 6))
+        x[0, 0] = 0.5
+        assert np.allclose(mop.evaluate(x)[0], [0.5, 0.75])
 
     def test_shifted_variants_front_at_two_tenths(self):
         # Tail variables at 0.2 minimize the distance term, so the front
         # matches the unshifted shape.
         for name in ("zdt1-shifted", "zdt2-shifted"):
             mop = get_problem(name)
-            x = np.full(6, 0.2)
-            x[0] = 0.25
-            f = mop.evaluate(x)
+            x = np.full((1, 6), 0.2)
+            x[0, 0] = 0.25
+            f = mop.evaluate(x)[0]
             g_expected = 1.0
             assert f[0] == pytest.approx(0.25)
             if name.startswith("zdt1"):
@@ -108,26 +108,35 @@ class TestBuiltinEvaluations:
 
     def test_coupled_tail_raises_g(self):
         mop = get_problem("zdt1-rotatedg")
-        flat = np.full(6, 0.3)
-        zig = np.array([0.3, 0.6, 0.0, 0.6, 0.0, 0.6])
-        assert mop.evaluate(zig)[1] > mop.evaluate(flat)[1]
+        flat = np.full((1, 6), 0.3)
+        zig = np.array([[0.3, 0.6, 0.0, 0.6, 0.0, 0.6]])
+        assert mop.evaluate(zig)[0, 1] > mop.evaluate(flat)[0, 1]
 
     def test_dtlz2_optimal_manifold_on_unit_sphere(self):
         mop = get_problem("dtlz2")
-        f = mop.evaluate(np.full(6, 0.5))
+        f = mop.evaluate(np.full((1, 6), 0.5))[0]
         assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_batched_matches_single(self):
+        # Each row of a batch equals that row evaluated alone, bit for bit.
         mop = get_problem("zdt2-mixed")
         pts = RngStream(4).random((5, 6))
         batch = mop.evaluate(pts)
+        jacobians = mop.jacobian(pts)
         for i in range(5):
-            assert np.array_equal(batch[i], mop.evaluate(pts[i]))
+            assert np.array_equal(batch[i], mop.evaluate(pts[i : i + 1])[0])
+            assert np.array_equal(jacobians[i], mop.jacobian(pts[i : i + 1])[0])
 
     def test_out_of_bounds_rejected(self):
         mop = get_problem("zdt1")
         with pytest.raises(InputError):
-            mop.evaluate(np.full(6, 1.5))
+            mop.evaluate(np.full((1, 6), 1.5))
+
+    @pytest.mark.parametrize("method", ["evaluate", "jacobian"])
+    def test_single_point_rejected(self, method):
+        mop = get_problem("zdt1")
+        with pytest.raises(InputError, match=r"expected an \(N, 6\) matrix of points, got shape \(6,\)"):
+            getattr(mop, method)(np.full(6, 0.5))
 
     def test_front_membership_nondominated(self):
         # Points with a zero tail lie on the front and never dominate each
@@ -241,7 +250,7 @@ class TestSuites:
         stub = get_problem("re33")
         assert stub.is_stub
         with pytest.raises(ConfigurationError, match="stub"):
-            stub.evaluate(np.full(4, 0.5))
+            stub.evaluate(np.full((1, 4), 0.5))
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigurationError):
@@ -269,12 +278,12 @@ class TestRegistry:
                 [(x**2).sum(axis=1), ((x - 0.5) ** 2).sum(axis=1), x.sum(axis=1)]
             ))
             assert not completed.is_stub
-            point = np.full(4, 0.25)
+            point = np.full((1, 4), 0.25)
             f = completed.evaluate(point)
-            assert f.shape == (3,)
+            assert f.shape == (1, 3)
             jac = completed.jacobian(point)
-            assert jac.shape == (3, 4)
-            numeric = finite_difference_jacobian(completed.evaluate_batch, point[None, :])[0]
+            assert jac.shape == (1, 3, 4)
+            numeric = finite_difference_jacobian(completed.evaluate_batch, point)
             assert np.allclose(jac, numeric)
         finally:
             # Restore the stub so other tests see the pristine registry.
