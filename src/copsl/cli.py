@@ -21,7 +21,7 @@ from .sampling import uniform_preference_grid
 from .trainer import (
     CONFIG_VERSION,
     RunConfig,
-    evaluate_model,
+    model_fronts,
     run_ablation,
     run_batch,
     write_ablation_csv,
@@ -109,11 +109,11 @@ def cmd_front(args) -> int:
             f"{model.arch.num_objectives}"
         )
     grid = uniform_preference_grid(suite.num_objectives, args.grid)
-    report = evaluate_model(model, suite, grid)
+    fronts = model_fronts(model, suite, grid)
     stem, ext = os.path.splitext(args.out)
     ext = ext or ".csv"
     written = []
-    for mop, front in zip(suite.problems, report.fronts):
+    for mop, front in zip(suite.problems, fronts):
         path = args.out if suite.num_mops == 1 else f"{stem}_{mop.name}{ext}"
         write_front_csv(path, front, mop.reference_point)
         written.append(path)

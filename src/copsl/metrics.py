@@ -1,14 +1,27 @@
 """Front quality metrics: dominance filtering and hypervolume.
 
 Hypervolume is the Lebesgue measure of the objective-space region dominated
-by a point set and bounded above by a reference point. The 2-d computation is
-the classic sweep over the sorted nondominated set; the 3-d computation
-sweeps the third coordinate and accumulates slab volumes from 2-d
-hypervolumes of the growing projection. Both are exact for finite sets and
-reject a reference point that is not finite.
+by a point set and bounded above by a reference point. Both hypervolumes and
+the filter are exact for finite sets, and the hypervolumes reject a
+reference point that is not finite.
+
+Costs for N points: ``nondominated_filter`` sorts lexicographically and
+sweeps (Kung, Luccio & Preparata 1975), O(N log N) for two objectives and at
+worst O(N^2) for three; it rejects four or more. ``hv_2d`` filters, sorts and
+adds one rectangle per step. ``hv_3d`` sweeps the front by f3, entering each
+point into a 2-d staircase and adding each slab's thickness times the
+staircase's area: O(N^2).
+
+The bitwise contract: the filter returns what the O(N^2) pairwise definition
+returns, the undominated rows in input order with duplicates collapsed to
+their first occurrence by bytes (so ``-0.0`` and ``0.0`` rows both stay). The
+hypervolumes equal, bit for bit, the plain sweeps that add one rectangle at a
+time, ``hv_3d`` one ``hv_2d`` per f3 level; the tests hold both as oracles.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -42,27 +55,72 @@ def _as_reference(reference, dim: int) -> np.ndarray:
     return ref
 
 
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """The rows whose bytes were not seen earlier, in their input order."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first = np.unique(keys.ravel(), return_index=True)
+    return rows[np.sort(first)]
+
+
 def nondominated_filter(points) -> np.ndarray:
     """Keep exactly the points no other point dominates.
 
     Dominance is weak inequality everywhere plus strict inequality somewhere.
-    Duplicate rows survive dominance but collapse to their first occurrence.
+    Duplicate rows survive dominance but collapse to their first occurrence
+    by bytes, so ``-0.0`` and ``0.0`` rows both stay. Survivors keep their
+    input order. Implemented for 1 to 3 objectives.
     """
     pts = _as_points(points)
-    a = pts[:, None, :]  # candidate dominator j in axis 0 when indexed [j, i]
-    b = pts[None, :, :]
-    le_all = (a <= b).all(axis=2)
-    lt_any = (a < b).any(axis=2)
-    dominated = (le_all & lt_any).any(axis=0)
-    survivors = pts[~dominated]
-    seen: set[bytes] = set()
-    rows = []
-    for row in survivors:
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    return np.array(rows)
+    m = pts.shape[1]
+    if m > 3:
+        raise UnsupportedError(f"nondominated filtering is implemented for up to 3 objectives, got {m}")
+    # In lexicographic order a point's dominators are among the strictly
+    # smaller rows; equal rows, which do not dominate each other, form a group.
+    order = np.lexsort(pts.T[::-1])
+    ranked = pts[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    sizes = np.diff(np.append(starts, len(ranked)))
+    if m == 1:
+        group_kept = np.arange(len(starts)) == 0
+    elif m == 2:
+        # Dominated exactly when some smaller row has f2 no larger.
+        f2 = ranked[starts, 1]
+        below = np.concatenate(([np.inf], np.minimum.accumulate(f2)[:-1]))
+        group_kept = f2 < below
+    else:
+        # Kung, Luccio & Preparata's sweep: dominated exactly when the
+        # staircase of the smaller rows' (f2, f3) covers the row.
+        xs: list[float] = []
+        ys: list[float] = []
+        entered = [_enter_staircase(xs, ys, x, y) for x, y in ranked[starts, 1:].tolist()]
+        group_kept = np.array(entered, dtype=bool)
+    keep = np.empty(len(pts), dtype=bool)
+    keep[order] = np.repeat(group_kept, sizes)
+    return _first_occurrences(pts[keep])
+
+
+def _enter_staircase(xs: list[float], ys: list[float], x: float, y: float) -> bool:
+    """Add (x, y) to the staircase ``xs`` rising, ``ys`` falling, unless a
+    step weakly dominates it, and drop the steps it weakly dominates; returns
+    whether it entered. Only the last step at or left of x can dominate it.
+    """
+    left = bisect.bisect_right(xs, x)
+    if left and ys[left - 1] <= y:
+        return False
+    stop = end = bisect.bisect_left(xs, x)
+    while end < len(xs) and ys[end] >= y:
+        end += 1
+    xs[stop:end] = [x]
+    ys[stop:end] = [y]
+    return True
+
+
+def _staircase_area(f1: np.ndarray, f2: np.ndarray, ref: np.ndarray) -> float:
+    """Area a staircase sorted by f1 dominates, one rectangle at a time from
+    the left: ``np.add.accumulate`` is a left fold, unlike ``np.sum``."""
+    prev = np.concatenate((ref[1:2], f2[:-1]))
+    terms = (ref[0] - f1) * (prev - f2)
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
 def hv_2d(points, reference) -> float:
@@ -78,20 +136,16 @@ def hv_2d(points, reference) -> float:
         return 0.0
     front = nondominated_filter(pts)
     front = front[np.argsort(front[:, 0], kind="stable")]
-    volume = 0.0
-    prev_f2 = ref[1]
-    for f1, f2 in front:
-        volume += (ref[0] - f1) * (prev_f2 - f2)
-        prev_f2 = f2
-    return float(volume)
+    return _staircase_area(front[:, 0], front[:, 1], ref)
 
 
 def hv_3d(points, reference) -> float:
     """Exact hypervolume of a 3-d point set via a sweep over f3.
 
-    Between consecutive f3 levels the dominated cross-section is constant, so
-    the volume is the 2-d hypervolume of the points seen so far times the
-    slab thickness.
+    Between consecutive f3 levels of the front the dominated cross-section is
+    constant: the 2-d hypervolume of the points seen so far, kept as a
+    staircase that each level's point enters. Each slab adds that area times
+    its thickness.
     """
     pts = _as_points(points, dim=3)
     ref = _as_reference(reference, 3)
@@ -100,13 +154,17 @@ def hv_3d(points, reference) -> float:
         return 0.0
     front = nondominated_filter(pts)
     front = front[np.argsort(front[:, 2], kind="stable")]
-    levels = front[:, 2]
+    levels = front[:, 2].tolist() + [float(ref[2])]
+    xs: list[float] = []
+    ys: list[float] = []
     volume = 0.0
-    for k in range(front.shape[0]):
-        top = levels[k + 1] if k + 1 < front.shape[0] else ref[2]
-        thickness = top - levels[k]
+    for k, (x, y) in enumerate(front[:, :2].tolist()):
+        # A point equal to a step, even as -0.0 to 0.0, would only add a
+        # zero-area rectangle to hv_2d's sum, so leaving it out keeps the bits.
+        _enter_staircase(xs, ys, x, y)
+        thickness = levels[k + 1] - levels[k]
         if thickness > 0.0:
-            volume += thickness * hv_2d(front[: k + 1, :2], ref[:2])
+            volume += thickness * _staircase_area(np.array(xs), np.array(ys), ref)
     return float(volume)
 
 
@@ -149,7 +207,8 @@ def write_front_csv(path: str, points, reference) -> None:
         "# m=%d reference=%s" % (m, ",".join(csv_float(r) for r in ref)),
         ",".join(f"f{j + 1}" for j in range(m)),
     ]
-    lines.extend(",".join(csv_float(v) for v in row) for row in pts)
+    row = ",".join(["%" + CSV_FLOAT_FORMAT] * m)  # printf-style, the same digits as csv_float
+    lines.extend(row % tuple(values) for values in pts.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -175,25 +175,41 @@ def _check_preferences(prefs: np.ndarray, num_objectives: int) -> np.ndarray:
     return p
 
 
+def _forward(model: CoPslModel, preferences, caches: list | None) -> list[np.ndarray]:
+    """The one layer loop: per-head outputs, and each layer's cache in ``caches`` when given."""
+    x = _check_preferences(preferences, model.arch.num_objectives)
+    layout = param_layout(model.arch)
+    trunk, heads = layer_groups(model.arch)
+
+    def run(positions, h):
+        for k in positions:
+            h, cache = layer_forward(layout[k], model.params, h)
+            if caches is not None:
+                caches[k] = cache
+        return h
+
+    x = run(trunk, x)
+    return [run(head, x) for head in heads]
+
+
 def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], list[tuple]]:
     """Run a batch of preference vectors through the trunk and every head.
 
     Returns one (batch, n_i) matrix of unit-cube outputs per problem plus one
     cache per layer, in layout order, for :func:`backward_all`.
     """
-    x = _check_preferences(preferences, model.arch.num_objectives)
-    layout = param_layout(model.arch)
-    trunk, heads = layer_groups(model.arch)
-    caches: list = [None] * len(layout)
-    for k in trunk:
-        x, caches[k] = layer_forward(layout[k], model.params, x)
-    outputs: list[np.ndarray] = []
-    for head in heads:
-        h = x
-        for k in head:
-            h, caches[k] = layer_forward(layout[k], model.params, h)
-        outputs.append(h)
-    return outputs, caches
+    caches: list = [None] * len(param_layout(model.arch))
+    return _forward(model, preferences, caches), caches
+
+
+def predict(model: CoPslModel, preferences) -> list[np.ndarray]:
+    """The outputs of :func:`forward_all`, bit for bit, without its caches.
+
+    Each layer's input and pre-activation are freed once the next layer has
+    run, so memory stays a few (batch, width) arrays instead of two per
+    layer. For evaluation, where no backward pass follows.
+    """
+    return _forward(model, preferences, None)
 
 
 def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) -> np.ndarray:

@@ -34,6 +34,7 @@ from .model import (
     forward_all,
     nonfinite_layers,
     param_layout,
+    predict,
     save_checkpoint,
 )
 from .nn import DenseLayer
@@ -237,25 +238,35 @@ def _eval_steps(iterations: int, interval: int) -> list[int]:
     return steps
 
 
+def model_fronts(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> list[np.ndarray]:
+    """Push a deterministic preference grid through the model; returns the
+    nondominated front per problem, rows in grid order.
+
+    The whole grid is one batch: a row's last bits depend on the batch it
+    is computed in.
+    """
+    for mop in suite.problems:
+        if mop.reference_point is None:
+            raise ConfigurationError(f"problem '{mop.name}' has no reference point")
+    fronts = []
+    for output, mop in zip(predict(model, grid), suite.problems):
+        x, _ = map_unit_to_box(output, mop.bounds)
+        fronts.append(nondominated_filter(mop.evaluate(x)))
+    return fronts
+
+
 def evaluate_model(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> EvalReport:
-    """Push a deterministic preference grid through the model and score it.
+    """Score :func:`model_fronts`.
 
     Returns the nondominated front per problem, its hypervolume against the
     problem's reference point, and the log hypervolume gap to the true front
     where a closed form exists (None otherwise).
     """
-    outputs, _ = forward_all(model, grid)
-    fronts: list[np.ndarray] = []
+    fronts = model_fronts(model, suite, grid)
     hypervolumes: list[float] = []
     log_diffs: list[Optional[float]] = []
-    for i, mop in enumerate(suite.problems):
-        if mop.reference_point is None:
-            raise ConfigurationError(f"problem '{mop.name}' has no reference point")
-        x, _ = map_unit_to_box(outputs[i], mop.bounds)
-        objectives = mop.evaluate(x)
-        front = nondominated_filter(objectives)
+    for mop, front in zip(suite.problems, fronts):
         hv = hypervolume(front, mop.reference_point)
-        fronts.append(front)
         hypervolumes.append(hv)
         if mop.front_hypervolume is not None:
             log_diffs.append(log_hv_diff(true_front_hv(mop, mop.reference_point), hv))

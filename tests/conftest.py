@@ -75,6 +75,46 @@ def brute_force_nondominated(points: np.ndarray) -> np.ndarray:
     return np.array(keep)
 
 
+def hv_2d_by_steps(points, reference) -> float:
+    """2-d hypervolume by the classic sweep: clip to the reference box, filter
+    by brute force, sort by f1 (stable), and add one rectangle per step from
+    the left, one at a time."""
+    pts = np.asarray(points, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
+    pts = pts[(pts < ref).all(axis=1)]
+    if pts.shape[0] == 0:
+        return 0.0
+    front = brute_force_nondominated(pts)
+    front = front[np.argsort(front[:, 0], kind="stable")]
+    volume = 0.0
+    prev_f2 = ref[1]
+    for f1, f2 in front:
+        volume += (ref[0] - f1) * (prev_f2 - f2)
+        prev_f2 = f2
+    return float(volume)
+
+
+def hv_3d_by_levels(points, reference) -> float:
+    """3-d hypervolume slab by slab: sort the brute-force front by f3
+    (stable); each slab up to the next level adds its thickness times the 2-d
+    hypervolume, by :func:`hv_2d_by_steps`, of the points up to that level."""
+    pts = np.asarray(points, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
+    pts = pts[(pts < ref).all(axis=1)]
+    if pts.shape[0] == 0:
+        return 0.0
+    front = brute_force_nondominated(pts)
+    front = front[np.argsort(front[:, 2], kind="stable")]
+    levels = front[:, 2]
+    volume = 0.0
+    for k in range(front.shape[0]):
+        top = levels[k + 1] if k + 1 < front.shape[0] else ref[2]
+        thickness = top - levels[k]
+        if thickness > 0.0:
+            volume += thickness * hv_2d_by_steps(front[: k + 1, :2], ref[:2])
+    return float(volume)
+
+
 def hv_monte_carlo(points, reference, samples: int, rng) -> tuple[float, float]:
     """Monte Carlo hypervolume estimate with its binomial standard error.
 

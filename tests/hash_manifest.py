@@ -19,10 +19,19 @@ The set covers:
   that fails (``weights`` of the wrong length, a configuration error);
 - ``copsl front`` and ``copsl hv`` at a small and a large front size on a
   2-objective and a 3-objective checkpoint;
-- a ``copsl run`` whose ``shared_depth`` exceeds its hidden layers.
+- a ``copsl run`` whose ``shared_depth`` exceeds its hidden layers;
+- the extension: one export per objective count at a size where a quadratic
+  dominance filter and a sort-and-sweep differ most, ``copsl front --grid
+  5000`` of the six-problem ``default`` checkpoint and a 990-point ``dtlz2``
+  lattice, each followed by ``copsl hv``.
 
-This is a tool, not a test: pytest does not collect it. A run takes about 40 s
-on a 2-vCPU Xeon.
+The last lines are two digests: ``digest`` over the set without the
+extension, comparable with manifests that predate it, and ``extended-digest``
+over every entry.
+
+This is a tool, not a test: pytest does not collect it. Without the extension
+a run takes about 40 s on a 2-vCPU Xeon; the extension adds a few seconds with
+a sort-and-sweep filter, and minutes with a quadratic one.
 """
 
 from __future__ import annotations
@@ -84,6 +93,7 @@ ABLATIONS = {
 
 # (checkpoint run, seed, grid sizes) for ``copsl front`` and ``copsl hv``.
 FRONTS = (("crit9", 0, (200, 1200)), ("dtlz2", 3, (50, 250)))
+EXTENDED_FRONTS = (("default", 0, (5000,)), ("dtlz2", 3, (1000,)))
 
 
 def sha256(data: bytes) -> str:
@@ -96,6 +106,7 @@ class Manifest:
         self.env.pop("COPSL_OUT_DIR", None)
         self.work = work
         self.entries: dict[str, str] = {}
+        self.extension: set[str] = set()
 
     def cli(self, name: str, argv: list[str]) -> None:
         """Run ``copsl argv`` and record its stdout, stderr and exit code."""
@@ -132,7 +143,13 @@ class Manifest:
                     argv += ["--seed", str(seed)]
                 self.cli(name, argv)
                 self.files(name)
-        for run, seed, sizes in FRONTS:
+        self.fronts(FRONTS)
+        before = set(self.entries)
+        self.fronts(EXTENDED_FRONTS)
+        self.extension = set(self.entries) - before
+
+    def fronts(self, table) -> None:
+        for run, seed, sizes in table:
             for size in sizes:
                 name = f"front_{run}_{size}"
                 checkpoint = os.path.join(run, f"model_seed{seed}.ckpt")
@@ -142,8 +159,12 @@ class Manifest:
                 for csv in sorted(os.listdir(os.path.join(self.work, name))):
                     self.cli(f"hv_{run}_{size}_{csv}", ["hv", "--front", os.path.join(name, csv)])
 
-    def lines(self) -> list[str]:
-        return [f"{name} {digest}" for name, digest in sorted(self.entries.items())]
+    def lines(self, extended: bool) -> list[str]:
+        return [
+            f"{name} {digest}"
+            for name, digest in sorted(self.entries.items())
+            if extended or name not in self.extension
+        ]
 
 
 def main(argv=None) -> int:
@@ -156,10 +177,10 @@ def main(argv=None) -> int:
         os.makedirs(work, exist_ok=True)
         manifest = Manifest(args.src, work)
         manifest.build()
-        lines = manifest.lines()
-        for line in lines:
+        for line in manifest.lines(extended=True):
             print(line)
-        print(f"digest {sha256(chr(10).join(lines).encode())}")
+        print(f"digest {sha256(chr(10).join(manifest.lines(extended=False)).encode())}")
+        print(f"extended-digest {sha256(chr(10).join(manifest.lines(extended=True)).encode())}")
     return 0
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from copsl.errors import InputError
+from copsl.errors import InputError, UnsupportedError
 from copsl.metrics import (
+    csv_float,
     hv_2d,
     hv_3d,
     log_hv_diff,
@@ -13,7 +16,45 @@ from copsl.metrics import (
 from copsl.problems import get_problem, true_front_hv
 from copsl.sampling import RngStream
 
-from conftest import brute_force_nondominated, hv_monte_carlo
+from conftest import brute_force_nondominated, hv_2d_by_steps, hv_3d_by_levels, hv_monte_carlo
+
+
+# Per column: continuous values, a small integer grid (ties and duplicate
+# rows), or signed zeros among a few values (rows equal but for their bytes).
+COLUMN_KINDS = {
+    "float": st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    "grid": st.integers(0, 3).map(float),
+    "signed-zero": st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+}
+
+
+@st.composite
+def point_sets(draw, m: int, max_size: int = 40) -> np.ndarray:
+    """(n, m) point sets whose columns are each of one kind of COLUMN_KINDS.
+
+    Mixing kinds gives ties in one coordinate with the others distinct;
+    all-grid sets are full of duplicates; n = 1 gives single points.
+    """
+    n = draw(st.integers(1, max_size))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=m, max_size=m))
+    columns = [draw(st.lists(COLUMN_KINDS[kind], min_size=n, max_size=n)) for kind in kinds]
+    return np.array(columns, dtype=np.float64).T.copy()
+
+
+@st.composite
+def sets_with_reference(draw, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A point set and a reference point that per coordinate lies on the
+    set's maximum (those points sit on the boundary and are clipped), beyond
+    it, or at its median."""
+    pts = draw(point_sets(m, max_size=25))
+    ref = [
+        draw(st.sampled_from([column.max(), column.max() + 1.0, float(np.median(column))])) for column in pts.T
+    ]
+    return pts, np.array(ref)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def random_front(rng, m, count):
@@ -50,6 +91,51 @@ class TestNondominatedFilter:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             nondominated_filter(np.empty((0, 2)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([1, 2, 3]).flatmap(point_sets))
+    @example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0]]))
+    @example(np.array([[0.5, 0.0, 0.5], [0.5, -0.0, 0.5], [0.5, 0.0, 0.75]]))
+    @example(np.array([[2.0, 1.0, 3.0]]))
+    def test_same_rows_in_same_order_as_brute_force(self, pts):
+        fast = nondominated_filter(pts)
+        slow = brute_force_nondominated(pts)
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_four_objectives_unsupported(self):
+        with pytest.raises(UnsupportedError, match="got 4"):
+            nondominated_filter(np.array([[0.1, 0.2, 0.3, 0.4], [0.2, 0.1, 0.3, 0.4]]))
+
+
+class TestHypervolumeBits:
+    """hv_2d and hv_3d equal the step-by-step and slab-by-slab oracles bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets_with_reference(2))
+    @example((np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]]), np.array([2.0, 2.0])))
+    @example((np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([1.0, 1.0])))
+    def test_hv_2d(self, case):
+        pts, ref = case
+        assert same_bits(hv_2d(pts, ref), hv_2d_by_steps(pts, ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets_with_reference(3))
+    @example((np.array([[0.0, 1.0, 0.5], [-0.0, 1.0, 0.5], [1.0, -0.0, 0.0], [1.0, 0.0, 1.0]]), np.full(3, 2.0)))
+    @example((np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 0.25]]), np.array([1.0, 1.0, 1.0])))
+    def test_hv_3d(self, case):
+        pts, ref = case
+        assert same_bits(hv_3d(pts, ref), hv_3d_by_levels(pts, ref))
+
+    @pytest.mark.parametrize("m, count", [(2, 400), (3, 120)])
+    def test_on_a_front_of_hundreds_of_steps(self, m, count):
+        # All points on the unit sphere: none dominates another, so the sums
+        # run over hundreds of steps, where summation order shows in the bits.
+        pts = RngStream(43).random((count, m)) + 0.05
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        ref = np.full(m, 1.1)
+        exact, oracle = (hv_2d, hv_2d_by_steps) if m == 2 else (hv_3d, hv_3d_by_levels)
+        assert same_bits(exact(pts, ref), oracle(pts, ref))
 
 
 class TestHv2d:
@@ -209,6 +295,17 @@ class TestFrontCsv:
         write_front_csv(path, pts, np.array([1.1, 1.1]))
         loaded, _ = read_front_csv(path)
         assert np.array_equal(loaded, pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(point_sets), st.data())
+    def test_rows_written_as_csv_float_writes_them(self, tmp_path_factory, pts, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        extra = data.draw(st.lists(finite, min_size=pts.shape[1], max_size=pts.shape[1]))
+        pts = np.vstack([pts, extra])
+        path = tmp_path_factory.mktemp("csv") / "front.csv"
+        write_front_csv(str(path), pts, np.ones(pts.shape[1]))
+        rows = path.read_text().splitlines()[2:]
+        assert rows == [",".join(csv_float(v) for v in row) for row in pts]
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
