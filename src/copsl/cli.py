@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigurationError, CopslError, InputError, UnsupportedError
 from .metrics import hypervolume, read_front_csv, write_front_csv
 from .model import load_checkpoint
-from .problems import builtin_suite, suite_from_names
+from .problems import suite_from_spec
 from .sampling import uniform_preference_grid
 from .trainer import (
     CONFIG_VERSION,
@@ -102,7 +102,7 @@ def cmd_front(args) -> int:
         )
     if isinstance(suite_spec, str) and "," in suite_spec:
         suite_spec = [s.strip() for s in suite_spec.split(",")]
-    suite = builtin_suite(suite_spec) if isinstance(suite_spec, str) else suite_from_names(suite_spec)
+    suite = suite_from_spec(suite_spec)
     if suite.num_objectives != model.arch.num_objectives:
         raise ConfigurationError(
             f"suite has {suite.num_objectives} objectives but the model expects "

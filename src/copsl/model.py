@@ -175,9 +175,8 @@ def _check_preferences(prefs: np.ndarray, num_objectives: int) -> np.ndarray:
     return p
 
 
-def _forward(model: CoPslModel, preferences, caches: list | None) -> list[np.ndarray]:
+def _forward(model: CoPslModel, x: np.ndarray, caches: list | None) -> list[np.ndarray]:
     """The one layer loop: per-head outputs, and each layer's cache in ``caches`` when given."""
-    x = _check_preferences(preferences, model.arch.num_objectives)
     layout = param_layout(model.arch)
     trunk, heads = layer_groups(model.arch)
 
@@ -196,7 +195,8 @@ def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], list[
     """Run a batch of preference vectors through the trunk and every head.
 
     Returns one (batch, n_i) matrix of unit-cube outputs per problem plus one
-    cache per layer, in layout order, for :func:`backward_all`.
+    cache per layer, in layout order, for :func:`backward_all`. The rows are
+    not checked: :func:`sample_preferences` puts training's on the simplex.
     """
     caches: list = [None] * len(param_layout(model.arch))
     return _forward(model, preferences, caches), caches
@@ -207,9 +207,10 @@ def predict(model: CoPslModel, preferences) -> list[np.ndarray]:
 
     Each layer's input and pre-activation are freed once the next layer has
     run, so memory stays a few (batch, width) arrays instead of two per
-    layer. For evaluation, where no backward pass follows.
+    layer. For evaluation, where a caller's grid enters: it raises
+    :class:`InputError` unless every row lies on the simplex.
     """
-    return _forward(model, preferences, None)
+    return _forward(model, _check_preferences(preferences, model.arch.num_objectives), None)
 
 
 def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) -> np.ndarray:
@@ -218,14 +219,9 @@ def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) 
     ``output_grads[i]`` is dL_i/d(head-i output), of that output's shape.
     Returns one flat vector laid out like ``model.params``: head i's part is
     exactly the backpropagation of L_i, the trunk's part the backpropagation
-    of sum_i w_i L_i.
+    of sum_i w_i L_i, with ``weights`` as :meth:`RunConfig.check_suite` checked them.
     """
     arch = model.arch
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (arch.num_mops,):
-        raise InputError(f"expected {arch.num_mops} weights, got shape {w.shape}")
-    if (w < 0.0).any() or not np.isfinite(w).all():
-        raise InputError("weights must be finite and nonnegative")
     if len(output_grads) != arch.num_mops:
         raise InternalError(f"expected {arch.num_mops} output gradients, got {len(output_grads)}")
 
@@ -245,7 +241,7 @@ def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) 
         output_shape = caches[head[-1]][1].shape
         if upstream.shape != output_shape:
             raise InternalError(f"gradient shape {upstream.shape} does not match head {i} output {output_shape}")
-        contribution = w[i] * backprop(head, upstream)
+        contribution = weights[i] * backprop(head, upstream)
         trunk_upstream = contribution if trunk_upstream is None else trunk_upstream + contribution
     backprop(trunk, trunk_upstream)
     return grads
@@ -282,12 +278,6 @@ def count_flops(model: CoPslModel, batch: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(arch: ModelArchitecture, params: np.ndarray, context: str) -> None:
-    bad = nonfinite_layers(arch, params)
-    if bad:
-        raise CheckpointError(f"{context} non-finite parameters in {bad[0].describe()}")
-
-
 def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) -> None:
     """Write a self-describing checkpoint.
 
@@ -295,7 +285,9 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
     optional metadata), then ``model.params`` as raw little-endian float64.
     Refuses, with :class:`CheckpointError`, parameters that are not finite.
     """
-    _require_finite(model.arch, model.params, f"refusing to write {path!r}: model has")
+    bad = nonfinite_layers(model.arch, model.params)
+    if bad:
+        raise CheckpointError(f"refusing to write {path!r}: model has non-finite parameters in {bad[0].describe()}")
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -310,7 +302,7 @@ def load_checkpoint(path: str, expected_objectives: int | None = None) -> tuple[
     """Read a checkpoint back; returns the model and the stored metadata.
 
     Raises :class:`CheckpointError`, naming the first offending layer, for a
-    body that holds NaN or +-inf.
+    body that holds NaN or +-inf, and for metadata that is not a JSON object.
     """
     try:
         with open(path, "rb") as handle:
@@ -338,13 +330,19 @@ def load_checkpoint(path: str, expected_objectives: int | None = None) -> tuple[
         raise CheckpointError(
             f"checkpoint has {arch.num_objectives} objectives, expected {expected_objectives}"
         )
+    metadata = header.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"checkpoint metadata must be a JSON object, got {metadata!r}")
 
     expected_bytes = 8 * _size(arch)
-    body = raw[newline + 1 :]
-    if len(body) != expected_bytes:
+    body_bytes = len(raw) - (newline + 1)
+    if body_bytes != expected_bytes:
         raise CheckpointError(
-            f"checkpoint body has {len(body)} bytes, expected {expected_bytes} (truncated or padded)"
+            f"checkpoint body has {body_bytes} bytes, expected {expected_bytes} (truncated or padded)"
         )
-    params = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    _require_finite(arch, params, f"checkpoint {path!r} holds")
-    return CoPslModel(arch=arch, params=params), header.get("metadata", {})
+    # One owned, native-order copy of the body, scanned for NaN and +-inf by the model.
+    params = np.frombuffer(raw, dtype="<f8", offset=newline + 1).astype(np.float64)
+    try:
+        return CoPslModel(arch=arch, params=params), metadata
+    except ConfigurationError as exc:
+        raise CheckpointError(f"checkpoint {path!r} holds {exc}") from exc

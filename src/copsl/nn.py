@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-ACTIVATIONS = ("relu", "sigmoid", "linear")
+ACTIVATIONS = ("relu", "sigmoid")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -76,12 +76,7 @@ def layer_forward(layer: DenseLayer, params: np.ndarray, x: np.ndarray) -> tuple
     """
     w, b = layer.views(params)
     pre = x @ w.T + b
-    if layer.activation == "relu":
-        out = np.maximum(pre, 0.0)
-    elif layer.activation == "sigmoid":
-        out = _sigmoid(pre)
-    else:
-        out = pre
+    out = np.maximum(pre, 0.0) if layer.activation == "relu" else _sigmoid(pre)
     return out, (x, pre)
 
 
@@ -96,10 +91,8 @@ def layer_backward(
     x, pre = cache
     if layer.activation == "relu":
         delta = np.where(pre > 0.0, upstream, 0.0)
-    elif layer.activation == "sigmoid":
+    else:
         s = _sigmoid(pre)
         delta = upstream * s * (1.0 - s)
-    else:
-        delta = upstream
     w, _ = layer.views(params)
     return delta.T @ x, delta.sum(axis=0), delta @ w

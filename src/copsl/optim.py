@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InternalError
+from .errors import InternalError
 
 # Elements per pass of the update: 256 KiB of float64, so its temporaries
 # stay cache-sized instead of adding whole-vector copies to peak memory.
@@ -42,10 +42,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_
     """One bias-corrected Adam update of ``params``, the state advanced in place.
 
     The update is elementwise, so it runs over cache-sized chunks: the
-    temporaries stay small and the result is the same, bit for bit.
+    temporaries stay small and the result is the same, bit for bit. The
+    learning rate is the one :meth:`RunConfig.validate` checked.
     """
-    if not learning_rate > 0.0:
-        raise InputError(f"learning rate must be positive, got {learning_rate}")
     if grads.shape != params.shape:
         raise InternalError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
     t = state.step + 1

@@ -510,6 +510,16 @@ def suite_from_names(names, suite_name: str = "custom") -> ProblemSuite:
     return ProblemSuite(suite_name, tuple(get_problem(n) for n in names))
 
 
+def suite_from_spec(spec) -> ProblemSuite:
+    """The suite a config or a checkpoint names: a built-in suite's name, or
+    a list or tuple of registered problem names."""
+    if isinstance(spec, str):
+        return builtin_suite(spec)
+    if isinstance(spec, (list, tuple)) and all(isinstance(name, str) for name in spec):
+        return suite_from_names(spec)
+    raise ConfigurationError(f"suite must be a suite name or a list of problem names, got {spec!r}")
+
+
 def _register_builtins() -> None:
     register_problem(_make_zdt_problem("zdt1", "convex", _g_linear))
     register_problem(_make_zdt_problem("zdt2", "concave", _g_linear))

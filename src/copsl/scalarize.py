@@ -155,11 +155,9 @@ def batch_loss(spec: LossSpec, objectives, preferences, ideal):
 
 
 def total_loss(mop_losses, weights) -> float:
-    """Weighted sum of per-MOP losses."""
+    """Weighted sum of per-MOP losses, with the weights :meth:`RunConfig.check_suite` returned."""
     losses = np.asarray(mop_losses, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if losses.shape != w.shape:
         raise InputError(f"{losses.shape[0]} losses but {w.shape[0]} weights")
-    if (w < 0.0).any():
-        raise InputError("MOP weights must be nonnegative")
     return float(np.dot(w, losses))

@@ -39,7 +39,7 @@ from .model import (
 )
 from .nn import DenseLayer
 from .optim import adam_step, init_adam_state
-from .problems import MopDefinition, ProblemSuite, builtin_suite, map_unit_to_box, suite_from_names, true_front_hv
+from .problems import MopDefinition, ProblemSuite, map_unit_to_box, suite_from_spec, true_front_hv
 from .sampling import RNG_ALGORITHM, RngStream, sample_preferences, uniform_preference_grid
 from .scalarize import IdealPointTracker, LossSpec, batch_loss, chain_to_decision, total_loss
 
@@ -163,9 +163,7 @@ class RunConfig:
         )
 
     def resolve_suite(self) -> ProblemSuite:
-        if isinstance(self.suite, str):
-            return builtin_suite(self.suite)
-        return suite_from_names(self.suite)
+        return suite_from_spec(self.suite)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)

@@ -6,6 +6,8 @@ import pytest
 
 from copsl.cli import main
 from copsl.metrics import read_front_csv, write_front_csv
+from copsl.model import ModelArchitecture, build_model, save_checkpoint
+from copsl.sampling import RngStream
 from copsl.trainer import CONFIG_VERSION, RunConfig
 
 
@@ -76,6 +78,9 @@ class TestRun:
             ({"learning_rate": math.inf}, "learning_rate must be finite and positive, got inf"),
             ({"loss": "cosmos", "gamma": math.inf}, "gamma must be finite, got inf"),
             ({"seed": -5}, "seed must be >= 0, got -5"),
+            ({"suite": 5}, "suite must be a suite name or a list of problem names, got 5"),
+            ({"suite": None}, "suite must be a suite name or a list of problem names, got None"),
+            ({"suite": {"zdt1": 1}}, "suite must be a suite name or a list of problem names, got {'zdt1': 1}"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
@@ -175,6 +180,21 @@ class TestFront:
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["front", "--checkpoint", str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "f.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [
+            (["zdt1", "zdt2"], "checkpoint metadata must be a JSON object, got ['zdt1', 'zdt2']"),
+            ({"suite": 5}, "suite must be a suite name or a list of problem names, got 5"),
+        ],
+    )
+    def test_malformed_metadata_exits_2(self, tmp_path, capsys, metadata, message):
+        checkpoint = str(tmp_path / "m.ckpt")
+        save_checkpoint(build_model(ModelArchitecture(2, (4,), 1, (30, 30)), RngStream(0)), checkpoint, metadata)
+        front_out = tmp_path / "front.csv"
+        assert main(["front", "--checkpoint", checkpoint, "--out", str(front_out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("front*"))
 
 
 class TestHv:

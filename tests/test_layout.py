@@ -84,6 +84,8 @@ def test_checkpoint_body_is_params_and_round_trips(tmp_path_factory, arch, seed,
     loaded, _ = load_checkpoint(path)
     assert loaded.arch == arch
     assert loaded.params.tobytes() == model.params.tobytes()
+    # One owned copy of the body, not a view of the bytes read from the file.
+    assert loaded.params.flags.writeable and loaded.params.base is None
 
     # A non-finite entry is refused on load and on save, naming its layer.
     index = data.draw(st.integers(0, model.params.size - 1))

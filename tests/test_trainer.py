@@ -5,7 +5,7 @@ import pytest
 
 import copsl.problems as problems_mod
 import copsl.trainer as trainer_mod
-from copsl.errors import ConfigurationError, TrainingDivergedError
+from copsl.errors import ConfigurationError, InputError, TrainingDivergedError
 from copsl.model import backward_all, count_params, param_layout
 from copsl.problems import ProblemSuite, get_problem, suite_from_names
 from copsl.sampling import uniform_preference_grid
@@ -286,6 +286,11 @@ class TestEvaluateModel:
         grid = uniform_preference_grid(2, 33)
         report = evaluate_model(model, ZDT_PAIR, grid)
         assert all(front.shape[0] <= 33 for front in report.fronts)
+
+    def test_non_simplex_grid_rejected(self):
+        model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
+        with pytest.raises(InputError, match="preference rows must sum to 1"):
+            evaluate_model(model, ZDT_PAIR, np.array([[0.7, 0.7]]))
 
     def test_missing_reference_point_rejected(self):
         bare = dataclasses.replace(get_problem("zdt1"), name="bare", reference_point=None)
