@@ -195,8 +195,10 @@ def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], list[
     """Run a batch of preference vectors through the trunk and every head.
 
     Returns one (batch, n_i) matrix of unit-cube outputs per problem plus one
-    cache per layer, in layout order, for :func:`backward_all`. The rows are
-    not checked: :func:`sample_preferences` puts training's on the simplex.
+    (inputs, output) cache per layer, in layout order, for
+    :func:`backward_all`. A layer's output is the next layer's input, so the
+    caches hold one array per layer. The rows are not checked:
+    :func:`sample_preferences` puts training's on the simplex.
     """
     caches: list = [None] * len(param_layout(model.arch))
     return _forward(model, preferences, caches), caches
@@ -205,10 +207,10 @@ def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], list[
 def predict(model: CoPslModel, preferences) -> list[np.ndarray]:
     """The outputs of :func:`forward_all`, bit for bit, without its caches.
 
-    Each layer's input and pre-activation are freed once the next layer has
-    run, so memory stays a few (batch, width) arrays instead of two per
-    layer. For evaluation, where a caller's grid enters: it raises
-    :class:`InputError` unless every row lies on the simplex.
+    Each layer's input is freed once the layer has run, so memory stays a
+    few (batch, width) arrays instead of one per layer. For evaluation,
+    where a caller's grid enters: it raises :class:`InputError` unless every
+    row lies on the simplex.
     """
     return _forward(model, _check_preferences(preferences, model.arch.num_objectives), None)
 

@@ -71,28 +71,29 @@ def layer_forward(layer: DenseLayer, params: np.ndarray, x: np.ndarray) -> tuple
     """Apply the layer, with its weights and biases read from ``params``, to a batch of rows.
 
     ``x`` has shape (batch, fan_in); returns the activated output of shape
-    (batch, fan_out) plus the cache (inputs, pre-activation) that
+    (batch, fan_out) plus the cache (inputs, output) that
     :func:`layer_backward` needs.
     """
     w, b = layer.views(params)
     pre = x @ w.T + b
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else _sigmoid(pre)
-    return out, (x, pre)
+    return out, (x, out)
 
 
 def layer_backward(
     layer: DenseLayer, params: np.ndarray, cache: tuple, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagate ``upstream = dL/d(output)``, of the pre-activation's shape, through the layer.
+    """Backpropagate ``upstream = dL/d(output)``, of the output's shape, through the layer.
 
-    Returns (d_weights, d_biases, d_inputs). The rectifier subgradient at
-    exactly zero pre-activation is taken as zero.
+    Returns (d_weights, d_biases, d_inputs). Both activations' derivatives
+    are read off the cached output: the rectifier passes ``upstream`` where
+    it is positive (its subgradient at exactly zero is taken as zero), and
+    the sigmoid's slope is s * (1 - s).
     """
-    x, pre = cache
+    x, out = cache
     if layer.activation == "relu":
-        delta = np.where(pre > 0.0, upstream, 0.0)
+        delta = np.where(out > 0.0, upstream, 0.0)
     else:
-        s = _sigmoid(pre)
-        delta = upstream * s * (1.0 - s)
+        delta = upstream * out * (1.0 - out)
     w, _ = layer.views(params)
     return delta.T @ x, delta.sum(axis=0), delta @ w

@@ -65,21 +65,18 @@ def unit_box(dimension: int) -> BoxBounds:
     return BoxBounds(np.zeros(dimension), np.ones(dimension))
 
 
-def map_unit_to_box(unit: np.ndarray, bounds: BoxBounds) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map from the unit cube to the bounded box.
+def map_unit_to_box(unit: np.ndarray, bounds: BoxBounds) -> np.ndarray:
+    """Affine map from the unit cube to the bounded box: x_j = lb_j + (ub_j - lb_j) * u_j.
 
-    Returns (x, derivative) with x_j = lb_j + (ub_j - lb_j) * u_j and the
-    diagonal derivative dx_j/du_j = ub_j - lb_j broadcast to the input shape.
-    Inputs come from a sigmoid, so they lie in (0, 1); saturated float values
-    at exactly 0 or 1 are accepted, anything outside [0, 1] is a bug upstream.
+    Its derivative is the constant diagonal ``bounds.widths``. Inputs come
+    from a sigmoid, so they lie in [0, 1]; the box check of
+    :meth:`MopDefinition.evaluate` and :meth:`MopDefinition.jacobian`, which
+    receive every mapped x, is where a point outside the box is caught.
     """
     u = np.asarray(unit, dtype=np.float64)
     if u.shape[-1] != bounds.dimension:
         raise InternalError(f"unit vector width {u.shape[-1]} does not match bounds dimension {bounds.dimension}")
-    if u.size and (u.min() < 0.0 or u.max() > 1.0):
-        raise InternalError("unit-cube input escaped [0, 1]")
-    x = bounds.lower + bounds.widths * u
-    return x, np.broadcast_to(bounds.widths, u.shape)
+    return bounds.lower + bounds.widths * u
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,7 @@ def jacobian_check(mop: MopDefinition, samples: int, rng) -> float:
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    x, _ = map_unit_to_box(rng.random((samples, mop.num_variables)), mop.bounds)
+    x = map_unit_to_box(rng.random((samples, mop.num_variables)), mop.bounds)
     analytic = mop.jacobian(x)
     numeric = finite_difference_jacobian(mop.evaluate_batch, x)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
@@ -289,29 +286,17 @@ def _shape_blend(f1, g):
     return value, d_f1, d_g
 
 
-def _front_convex(t):
-    return 1.0 - np.sqrt(t)
-
-
-def _front_concave(t):
-    return 1.0 - t**2
-
-
-def _front_blend(t):
-    return 1.0 - 0.5 * np.sqrt(t) - 0.5 * t**2
-
-
 # Integral of h over [0, 1]; the front hypervolume against (r1, r2) >= (1, 1)
 # is r1 * r2 - integral.
 _SHAPES = {
-    "convex": (_shape_convex, _front_convex, 1.0 / 3.0),
-    "concave": (_shape_concave, _front_concave, 2.0 / 3.0),
-    "blend": (_shape_blend, _front_blend, 0.5),
+    "convex": (_shape_convex, 1.0 / 3.0),
+    "concave": (_shape_concave, 2.0 / 3.0),
+    "blend": (_shape_blend, 0.5),
 }
 
 
 def _make_zdt_problem(name: str, shape: str, g_fn) -> MopDefinition:
-    shape_fn, front_fn, h_integral = _SHAPES[shape]
+    shape_fn, h_integral = _SHAPES[shape]
 
     def evaluate_batch(x: np.ndarray) -> np.ndarray:
         f1 = x[:, 0]
@@ -337,8 +322,9 @@ def _make_zdt_problem(name: str, shape: str, g_fn) -> MopDefinition:
         return float(ref[0] * ref[1] - h_integral)
 
     def front_points(count: int) -> np.ndarray:
+        # The front is where g reaches its minimum, 1.
         t = np.linspace(0.0, 1.0, count)
-        return np.column_stack([t, front_fn(t)])
+        return np.column_stack([t, shape_fn(t, 1.0)[0]])
 
     return MopDefinition(
         name=name,

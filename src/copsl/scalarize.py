@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, InternalError
-from .sampling import MIN_PREFERENCE
 
 LOSS_KINDS = ("ls", "cosmos", "tch", "mtch")
 
@@ -110,9 +109,11 @@ def _tch(spec: LossSpec, f, weights, z):
 
 
 def _mtch(spec: LossSpec, f, p, z):
-    """Modified Tchebycheff loss: the Tchebycheff loss with w = 1/p."""
-    if (p < MIN_PREFERENCE).any():
-        raise InputError(f"mtch needs every preference component >= {MIN_PREFERENCE}")
+    """Modified Tchebycheff loss: the Tchebycheff loss with w = 1/p.
+
+    :func:`sample_preferences` clamps every component away from zero, so
+    1/p stays finite.
+    """
     return _tch(spec, f, 1.0 / p, z)
 
 
@@ -120,18 +121,19 @@ def _mtch(spec: LossSpec, f, p, z):
 _LOSSES = {"ls": _linear, "cosmos": _cosmos, "tch": _tch, "mtch": _mtch}
 
 
-def chain_to_decision(objective_grads, jacobians, box_derivatives) -> np.ndarray:
+def chain_to_decision(objective_grads, jacobians, widths) -> np.ndarray:
     """Pull a batch of objective-space gradients back to the unit-cube outputs.
 
-    Computes (J_b^T g_b) * box_derivative_b elementwise for every row b of
-    (B, m) gradients, (B, m, n) Jacobians and (B, n) box derivatives.
+    Computes (J_b^T g_b) * widths elementwise for every row b of (B, m)
+    gradients and (B, m, n) Jacobians; the (n,) box widths are the diagonal
+    derivative of :func:`map_unit_to_box`.
     """
     g = np.asarray(objective_grads, dtype=np.float64)
     jac = np.asarray(jacobians, dtype=np.float64)
-    box = np.asarray(box_derivatives, dtype=np.float64)
-    if jac.ndim != 3 or g.shape != jac.shape[:2] or box.shape != (jac.shape[0], jac.shape[2]):
-        raise InternalError(f"gradient {g.shape}, jacobian {jac.shape}, and box derivative {box.shape} disagree")
-    return np.einsum("bmn,bm->bn", jac, g) * box
+    w = np.asarray(widths, dtype=np.float64)
+    if jac.ndim != 3 or g.shape != jac.shape[:2] or w.shape != jac.shape[2:]:
+        raise InternalError(f"gradient {g.shape}, jacobian {jac.shape}, and box widths {w.shape} disagree")
+    return np.einsum("bmn,bm->bn", jac, g) * w
 
 
 def batch_loss(spec: LossSpec, objectives, preferences, ideal):

@@ -127,14 +127,17 @@ class RunConfig:
             )
         self.loss_spec()  # validates loss kind and hyperparameters
 
-    def check_suite(self, suite: ProblemSuite) -> tuple[ModelArchitecture, np.ndarray, np.ndarray]:
+    def check_suite(self, suite: ProblemSuite) -> tuple[ModelArchitecture, np.ndarray, np.ndarray, np.ndarray]:
         """Check the config against the problems it trains, before any training.
 
         Returns the model architecture (which checks ``shared_depth`` against
-        ``hidden_sizes``), the per-problem weights and the Dirichlet
-        parameters; raises :class:`ConfigurationError` naming the first
-        mismatch.
+        ``hidden_sizes``), the per-problem weights, the Dirichlet parameters
+        and the evaluation grid; raises :class:`ConfigurationError` naming
+        the first mismatch, or a stub problem, which cannot be trained.
         """
+        for mop in suite.problems:
+            if mop.is_stub:
+                raise ConfigurationError(f"problem '{mop.name}' is a stub; register an evaluator before use")
         k, m = suite.num_mops, suite.num_objectives
         weights = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (k,):
@@ -152,7 +155,8 @@ class RunConfig:
             shared_depth=self.shared_depth,
             output_dims=suite.output_dims,
         )
-        return arch, weights, alpha
+        grid = uniform_preference_grid(m, self.eval_grid or _default_grid_size(m))
+        return arch, weights, alpha, grid
 
     def loss_spec(self) -> LossSpec:
         return LossSpec(
@@ -229,27 +233,25 @@ def _default_grid_size(num_objectives: int) -> int:
     return 100 if num_objectives == 2 else 105
 
 
-def _eval_steps(iterations: int, interval: int) -> list[int]:
-    steps = [0] + list(range(interval, iterations + 1, interval))
-    if steps[-1] != iterations:
-        steps.append(iterations)
-    return steps
-
-
 def model_fronts(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> list[np.ndarray]:
     """Push a deterministic preference grid through the model; returns the
     nondominated front per problem, rows in grid order.
 
     The whole grid is one batch: a row's last bits depend on the batch it
-    is computed in.
+    is computed in. Raises :class:`ConfigurationError` unless the suite's
+    decision dimensions are the model's heads, in order.
     """
+    if suite.output_dims != model.arch.output_dims:
+        raise ConfigurationError(
+            f"suite '{suite.name}' has output_dims {list(suite.output_dims)} "
+            f"but the model's heads have output_dims {list(model.arch.output_dims)}"
+        )
     for mop in suite.problems:
         if mop.reference_point is None:
             raise ConfigurationError(f"problem '{mop.name}' has no reference point")
     fronts = []
     for output, mop in zip(predict(model, grid), suite.problems):
-        x, _ = map_unit_to_box(output, mop.bounds)
-        fronts.append(nondominated_filter(mop.evaluate(x)))
+        fronts.append(nondominated_filter(mop.evaluate(map_unit_to_box(output, mop.bounds))))
     return fronts
 
 
@@ -298,7 +300,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         suite = config.resolve_suite()
     m = suite.num_objectives
     k = suite.num_mops
-    arch, weights, alpha = config.check_suite(suite)
+    arch, weights, alpha, grid = config.check_suite(suite)
     init_rng = RngStream(config.seed, stream=0)
     pref_rng = RngStream(config.seed, stream=1)
     model = build_model(arch, init_rng)
@@ -308,8 +310,6 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
     tracker = IdealPointTracker(k, m)
     output_layers = {layer.mop: layer for layer in param_layout(arch)}  # the last layer of each head
     spec = config.loss_spec()
-    grid_size = config.eval_grid or _default_grid_size(m)
-    grid = uniform_preference_grid(m, grid_size)
 
     zero_weight = [i for i in range(k) if weights[i] == 0.0]
     notes = []
@@ -320,7 +320,6 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         )
     notes.append(f"ideal point updated {config.ideal_update.replace('-', ' ')} each iteration")
 
-    eval_at = set(_eval_steps(config.iterations, config.eval_interval))
     record = RunRecord(
         config=config.to_dict(),
         rng_algorithm=RNG_ALGORITHM,
@@ -353,7 +352,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         mop_losses: list[float] = []
         output_grads: list[np.ndarray] = []
         for i, mop in enumerate(suite.problems):
-            x, box_derivative = map_unit_to_box(outputs[i], mop.bounds)
+            x = map_unit_to_box(outputs[i], mop.bounds)
             objectives = mop.evaluate(x)
             if not np.isfinite(objectives).all():
                 raise TrainingDivergedError(
@@ -373,7 +372,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
                     f"non-finite loss {loss_value} for MOP '{mop.name}' "
                     f"(index {i}) at iteration {iteration}"
                 )
-            decision_grads = chain_to_decision(objective_grads, jacobians, box_derivative)
+            decision_grads = chain_to_decision(objective_grads, jacobians, mop.bounds.widths)
             if not np.isfinite(decision_grads).all():
                 raise TrainingDivergedError(_nonfinite_gradient_message([output_layers[i]], suite, iteration))
             mop_losses.append(loss_value)
@@ -393,7 +392,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         record.mop_losses.append(mop_losses)
         if config.trace_params:
             record.param_trace.append(_param_digest(model))
-        if iteration in eval_at:
+        if iteration % config.eval_interval == 0 or iteration == config.iterations:
             run_eval(iteration)
     record.wall_seconds = time.perf_counter() - started
     return model, record

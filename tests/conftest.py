@@ -1,13 +1,17 @@
-"""Shared test oracles.
+"""Shared test oracles and fixtures.
 
-These stay independent of the library code they check: plain loops and
-textbook formulas, no reuse of the implementation under test.
+The oracles stay independent of the library code they check: plain loops
+and textbook formulas, no reuse of the implementation under test.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import copsl.problems as problems_mod
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -155,3 +159,20 @@ def hv_monte_carlo(points, reference, samples: int, rng) -> tuple[float, float]:
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240815)
+
+
+@pytest.fixture
+def nan_problem(monkeypatch):
+    """Register, for one test, 'zdt1-nan': zdt1 whose objectives turn NaN on
+    training batches of 5 rows (not on the evaluation grid). Returns its name."""
+    base = problems_mod.get_problem("zdt1")
+
+    def exploding(x):
+        out = base.evaluate_batch(x).copy()
+        if x.shape[0] == 5:
+            out[:, 1] = np.nan
+        return out
+
+    problem = dataclasses.replace(base, name="zdt1-nan", evaluate_batch=exploding)
+    monkeypatch.setitem(problems_mod._REGISTRY, problem.name, problem)
+    return problem.name

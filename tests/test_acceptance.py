@@ -20,6 +20,7 @@ from copsl.model import (
     count_flops,
     count_params,
     forward_all,
+    param_layout,
 )
 from copsl.problems import ProblemSuite, get_problem, map_unit_to_box, suite_from_names
 from copsl.sampling import RngStream, sample_preferences
@@ -89,15 +90,15 @@ def _end_to_end_case(model_seed: int, pref_seed: int):
     model = build_model(arch, RngStream(model_seed))
     prefs = sample_preferences(RngStream(pref_seed), (1.0, 1.0), 3)
     outputs, caches = forward_all(model, prefs)
-    for _, pre_activation in caches:
-        if np.abs(pre_activation).min() < 1e-4:
+    for layer, (inputs, _) in zip(param_layout(arch), caches):
+        w, b = layer.views(model.params)
+        if np.abs(inputs @ w.T + b).min() < 1e-4:
             return None
     ideals = []
     for out in outputs:
         if out.min() < 0.01 or out.max() > 0.99:
             return None
-        x, _ = map_unit_to_box(out, mop.bounds)
-        f = mop.evaluate(x)
+        f = mop.evaluate(map_unit_to_box(out, mop.bounds))
         z = f.min(axis=0) - 0.05
         terms_tch = np.sort(prefs * (f - z + 1e-3), axis=1)
         terms_mtch = np.sort((f - z + 1e-3) / prefs, axis=1)
@@ -113,11 +114,11 @@ def _pipeline_loss_and_grads(mop, model, prefs, ideals, spec):
     outputs, caches = forward_all(model, prefs)
     losses, output_grads = [], []
     for i, out in enumerate(outputs):
-        x, box = map_unit_to_box(out, mop.bounds)
+        x = map_unit_to_box(out, mop.bounds)
         f = mop.evaluate(x)
         value, grad_f = batch_loss(spec, f, prefs, ideals[i])
         losses.append(value)
-        output_grads.append(chain_to_decision(grad_f, mop.jacobian(x), box))
+        output_grads.append(chain_to_decision(grad_f, mop.jacobian(x), mop.bounds.widths))
     weights = np.ones(len(outputs))
     return total_loss(losses, weights), backward_all(model, caches, output_grads, weights)
 

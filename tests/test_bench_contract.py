@@ -1,13 +1,17 @@
-"""The names the benchmark in ``perfbench/`` wraps, patches and calls exist in copsl.
+"""The names the benchmark in ``perfbench/`` wraps, patches and calls exist in copsl,
+and the benchmark's own self-test passes against this checkout.
 
 ``perfbench/tracing.py`` is loaded read-only. Without these checks, renaming or
-deleting a traced function breaks ``perfbench/run.py --trace 1`` while every
+deleting a traced function breaks ``perfbench/run.py --trace 1``, and a change
+that breaks a workload's output checks breaks ``perfbench/run.py``, while every
 other test still passes.
 """
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 from operator import attrgetter
 
 import pytest
@@ -15,7 +19,8 @@ import pytest
 import copsl
 import copsl.cli  # noqa: F401  cli.main is traced, and the package does not import cli
 
-TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
 
 # Attributes the workloads call or patch, relative to the copsl package.
 WORKLOAD_NAMES = (
@@ -100,3 +105,12 @@ def test_install_then_uninstall_restores_every_original(tracing):
 def test_names_the_workloads_use_exist():
     missing = [name for name in WORKLOAD_NAMES if resolve(copsl, name) is None]
     assert not missing
+
+
+def test_benchmark_selftest_passes():
+    # Runs every workload at a tiny size, traced and untraced; about 10 s.
+    selftest = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "selftest.py")], capture_output=True, text=True, timeout=600
+    )
+    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
+    assert "selftest passed" in selftest.stdout.splitlines()

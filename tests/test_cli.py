@@ -81,6 +81,8 @@ class TestRun:
             ({"suite": 5}, "suite must be a suite name or a list of problem names, got 5"),
             ({"suite": None}, "suite must be a suite name or a list of problem names, got None"),
             ({"suite": {"zdt1": 1}}, "suite must be a suite name or a list of problem names, got {'zdt1': 1}"),
+            ({"suite": "engineering-3d-stub"}, "problem 're31' is a stub; register an evaluator before use"),
+            ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
@@ -103,12 +105,15 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
 
-    def test_failing_run_exits_1(self, tmp_path, capsys):
-        # Stub problems have no evaluator, so training fails per seed.
-        config = write_config(tmp_path / "c.json", suite="engineering-3d-stub")
+    def test_failing_run_exits_1(self, tmp_path, capsys, nan_problem):
+        # The problem's objectives turn NaN on the first training batch, so
+        # the run diverges after its config has been accepted.
+        config = write_config(tmp_path / "c.json", suite=[nan_problem], batch_size=5)
         code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "seed 0 failed: non-finite objective values for MOP 'zdt1-nan' (index 0) at iteration 1\n"
+        )
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path / "c.json")
@@ -137,13 +142,19 @@ class TestAblate:
         assert all(a > b for a, b in zip(ordered, ordered[1:]))
 
     def test_bad_config_exits_2_before_any_variant(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", weights=[1.0])
-        out = tmp_path / "out"
-        assert main(["ablate", "--config", config, "--seed", "0", "--seed", "1", "--out", str(out)]) == 2
-        assert not (out / "ablation.csv").exists()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: expected 2 MOP weights, got 1\n"
+        cases = [
+            ({"weights": [1.0]}, "expected 2 MOP weights, got 1"),
+            ({"suite": "engineering-3d-stub"}, "problem 're31' is a stub; register an evaluator before use"),
+            ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
+        ]
+        for case, (overrides, message) in enumerate(cases):
+            config = write_config(tmp_path / f"c{case}.json", **overrides)
+            out = tmp_path / f"out{case}"
+            assert main(["ablate", "--config", config, "--seed", "0", "--seed", "1", "--out", str(out)]) == 2
+            assert not (out / "ablation.csv").exists()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_negative_seed_exits_2_before_any_variant(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
@@ -177,6 +188,20 @@ class TestFront:
             points, ref = read_front_csv(str(tmp_path / f"front_{name}.csv"))
             assert points.shape[0] <= 12
             assert np.array_equal(ref, [1.1, 1.1])
+
+    def test_suite_that_is_not_the_checkpoints_heads_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        front_out = tmp_path / "front.csv"
+        checkpoint = str(out / "model_seed0.ckpt")
+        assert main(["front", "--checkpoint", checkpoint, "--suite", "synthetic-2d", "--out", str(front_out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: suite 'synthetic-2d' has output_dims [6, 6, 6, 6, 6, 6] "
+            "but the model's heads have output_dims [6, 6]\n"
+        )
+        assert not list(tmp_path.glob("front*"))
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["front", "--checkpoint", str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "f.csv")]) == 2

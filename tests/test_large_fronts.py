@@ -17,8 +17,9 @@ from copsl.metrics import read_front_csv
 # largest dtlz2 lattice of at most 3 000 points (2 926 points).
 CASES = (("synthetic-2d", 20_000), (["dtlz2"], 3_000))
 
-# forward_all, which keeps every layer's input and pre-activation, peaks at
-# about 590 MB on the 2-d grid.
+# forward_all, which keeps every layer's input and output (one array per
+# layer, since each output is the next layer's input), peaks at about 330 MB
+# on the 2-d grid.
 EVALUATION_PEAK_LIMIT = 200e6
 
 

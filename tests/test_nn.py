@@ -59,11 +59,14 @@ class TestForward:
         assert np.array_equal(layer_forward(layer, params, x)[0], layer_forward(shifted, padded, x)[0])
 
     def test_cache_contents(self):
+        # The cache is (inputs, output): the backward pass reads the
+        # activation's derivative off the output instead of recomputing it.
         layer, params = make_layer([[2.0]], [1.0], "sigmoid")
         x = np.array([[0.5]])
-        _, (inputs, pre) = layer_forward(layer, params, x)
+        out, (inputs, cached) = layer_forward(layer, params, x)
         assert np.array_equal(inputs, x)
-        assert np.array_equal(pre, [[2.0]])
+        assert cached is out
+        assert out[0, 0] == 1.0 / (1.0 + math.exp(-2.0))
 
 
 class TestBackward:

@@ -33,25 +33,25 @@ def front_hv_by_quadrature(front_fn, ref, panels=2_000_000):
 
 class TestBoxMapping:
     def test_unit_interval_identity(self):
-        x, deriv = map_unit_to_box(np.array([0.5]), unit_box(1))
+        x = map_unit_to_box(np.array([0.5]), unit_box(1))
         assert x[0] == 0.5
-        assert deriv[0] == 1.0
+        assert unit_box(1).widths[0] == 1.0
 
     def test_affine(self):
         bounds = BoxBounds(np.array([-2.0]), np.array([4.0]))
-        x, deriv = map_unit_to_box(np.array([0.5]), bounds)
+        x = map_unit_to_box(np.array([0.5]), bounds)
         assert x[0] == pytest.approx(1.0)
-        assert deriv[0] == pytest.approx(6.0)
-
-    def test_rejects_outside_unit_cube(self):
-        with pytest.raises(InternalError):
-            map_unit_to_box(np.array([1.5]), unit_box(1))
+        assert bounds.widths[0] == pytest.approx(6.0)
 
     def test_accepts_saturated_endpoints(self):
         # Sigmoid outputs can round to exactly 0 or 1 in float; the mapping
         # treats the closed cube as valid.
-        x, _ = map_unit_to_box(np.array([0.0, 1.0]), unit_box(2))
+        x = map_unit_to_box(np.array([0.0, 1.0]), unit_box(2))
         assert np.array_equal(x, [0.0, 1.0])
+
+    def test_rejects_width_mismatch(self):
+        with pytest.raises(InternalError, match="width 2 does not match bounds dimension 3"):
+            map_unit_to_box(np.array([[0.5, 0.5]]), unit_box(3))
 
     def test_composition_matches_finite_differences(self):
         mop = get_problem("zdt1")
@@ -62,8 +62,8 @@ class TestBoxMapping:
             x = bounds.lower + (bounds.upper - bounds.lower) * unit
             return mop.evaluate_batch(x[None, :])[0]
 
-        x, deriv = map_unit_to_box(u, bounds)
-        chained = mop.jacobian(x[None, :])[0] * deriv[None, :]
+        x = map_unit_to_box(u, bounds)
+        chained = mop.jacobian(x[None, :])[0] * bounds.widths[None, :]
         step = 1e-7
         for j in range(6):
             hi, lo = u.copy(), u.copy()
@@ -209,6 +209,20 @@ class TestFrontHypervolume:
             lambda q: np.interp(q, sampled[:, 0], sampled[:, 1]), ref
         )
         assert true_front_hv(mop, ref) == pytest.approx(oracle, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        "name, front",
+        [
+            ("zdt1", lambda t: 1.0 - np.sqrt(t)),
+            ("zdt2", lambda t: 1.0 - t**2),
+            ("zdt2-mixed", lambda t: 1.0 - 0.5 * np.sqrt(t) - 0.5 * t**2),
+        ],
+    )
+    def test_front_points_are_the_closed_form_bitwise(self, name, front):
+        t = np.linspace(0.0, 1.0, 100_001)
+        sampled = get_problem(name).front_points(100_001)
+        assert np.array_equal(sampled[:, 0], t)
+        assert np.array_equal(sampled[:, 1], front(t))
 
     def test_dtlz2_octant_sphere(self):
         expected = 1.1**3 - np.pi / 6.0

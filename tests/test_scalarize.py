@@ -137,10 +137,6 @@ class TestModifiedTchebycheff:
         _, g_mtch = one_row(LossSpec("mtch"), f, p, z)
         assert np.argmax(g_tch) == np.argmax(g_mtch)
 
-    def test_rejects_tiny_preference(self):
-        with pytest.raises(InputError):
-            one_row(LossSpec("mtch"), [1.0, 1.0], [1e-9, 1.0], np.zeros(2))
-
     def test_gradient_matches_finite_differences(self):
         rng = RngStream(23)
         z = np.zeros(2)
@@ -203,12 +199,12 @@ class TestIdealTracker:
 
 class TestChainRule:
     def test_identity_passthrough(self):
-        grad = chain_to_decision(np.array([[0.3, 0.7]]), np.eye(2)[None], np.ones((1, 2)))
+        grad = chain_to_decision(np.array([[0.3, 0.7]]), np.eye(2)[None], np.ones(2))
         assert np.array_equal(grad, [[0.3, 0.7]])
 
     def test_one_hot_selects_jacobian_row(self):
         jac = np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
-        grad = chain_to_decision(np.array([[0.0, 1.0]]), jac, np.ones((1, 3)))
+        grad = chain_to_decision(np.array([[0.0, 1.0]]), jac, np.ones(3))
         assert np.array_equal(grad, [[4.0, 5.0, 6.0]])
 
     def test_end_to_end_finite_differences_on_zdt1(self):
@@ -220,18 +216,17 @@ class TestChainRule:
         spec = LossSpec("tch")
 
         def scalar(unit):
-            x, _ = map_unit_to_box(unit, bounds)
-            return batch_loss(spec, mop.evaluate(x), p, z)[0]
+            return batch_loss(spec, mop.evaluate(map_unit_to_box(unit, bounds)), p, z)[0]
 
-        x, deriv = map_unit_to_box(u, bounds)
+        x = map_unit_to_box(u, bounds)
         _, grad_f = batch_loss(spec, mop.evaluate(x), p, z)
-        pulled = chain_to_decision(grad_f, mop.jacobian(x), deriv)
+        pulled = chain_to_decision(grad_f, mop.jacobian(x), bounds.widths)
         fd = central_difference(scalar, u.copy())
         assert max_relative_error(pulled, fd) <= 1e-5
 
     def test_shape_mismatch(self):
         with pytest.raises(InternalError):
-            chain_to_decision(np.ones((1, 2)), np.ones((1, 3, 4)), np.ones((1, 4)))
+            chain_to_decision(np.ones((1, 2)), np.ones((1, 3, 4)), np.ones(4))
 
     def test_rejects_single_sample(self):
         with pytest.raises(InternalError):

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import copsl.problems as problems_mod
 import copsl.trainer as trainer_mod
 from copsl.errors import ConfigurationError, InputError, TrainingDivergedError
 from copsl.model import backward_all, count_params, param_layout
@@ -39,23 +38,6 @@ def tiny_config(**overrides):
 
 
 ZDT_PAIR = suite_from_names(["zdt1", "zdt2"], "zdt-pair")
-
-
-@pytest.fixture
-def nan_problem(monkeypatch):
-    """Register, for one test, 'zdt1-nan': zdt1 whose objectives turn NaN on
-    training batches of 5 rows (not on the evaluation grid). Returns its name."""
-    base = get_problem("zdt1")
-
-    def exploding(x):
-        out = base.evaluate_batch(x).copy()
-        if x.shape[0] == 5:
-            out[:, 1] = np.nan
-        return out
-
-    problem = dataclasses.replace(base, name="zdt1-nan", evaluate_batch=exploding)
-    monkeypatch.setitem(problems_mod._REGISTRY, problem.name, problem)
-    return problem.name
 
 
 class TestConfig:
@@ -105,6 +87,7 @@ class TestConfig:
             (dict(weights=(1.0, float("nan"))), "MOP weights must be finite and nonnegative"),
             (dict(dirichlet_alpha=(1.0, 1.0, 1.0)), "expected 2 Dirichlet parameters, got 3"),
             (dict(dirichlet_alpha=(1.0, 0.0)), "Dirichlet parameters must be finite and positive"),
+            (dict(eval_grid=1), "grid needs at least 2 points, got 1"),
         ],
     )
     def test_suite_mismatch_raises_before_any_training(self, monkeypatch, overrides, message):
@@ -116,6 +99,15 @@ class TestConfig:
         monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
         with pytest.raises(ConfigurationError, match=message):
             run_batch(config, seeds=(0, 1))
+
+    def test_stub_problem_raises_before_any_training(self, monkeypatch):
+        config = tiny_config(suite="engineering-3d-stub")
+        message = "problem 're31' is a stub; register an evaluator before use"
+        with pytest.raises(ConfigurationError, match=message):
+            config.check_suite(config.resolve_suite())
+        monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ConfigurationError, match=message):
+            run_batch(config, seeds=(0,))
 
 
 class TestTrainingLoop:
@@ -291,6 +283,13 @@ class TestEvaluateModel:
         model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
         with pytest.raises(InputError, match="preference rows must sum to 1"):
             evaluate_model(model, ZDT_PAIR, np.array([[0.7, 0.7]]))
+
+    def test_suite_that_is_not_the_models_heads_rejected(self):
+        model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
+        six = suite_from_names(["zdt1", "zdt2", "zdt1-shifted", "zdt2-shifted", "zdt1-rotatedg", "zdt2-mixed"])
+        message = r"output_dims \[6, 6, 6, 6, 6, 6\] but the model's heads have output_dims \[6, 6\]"
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_model(model, six, uniform_preference_grid(2, 5))
 
     def test_missing_reference_point_rejected(self):
         bare = dataclasses.replace(get_problem("zdt1"), name="bare", reference_point=None)
