@@ -7,6 +7,7 @@ configuration or usage errors. All artifacts are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -145,7 +146,10 @@ def cmd_defaults(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``copsl`` parser, built once per process: a parse keeps no state
+    in it, because each call fills a new namespace from unchanged defaults."""
     parser = argparse.ArgumentParser(
         prog="copsl",
         description="Train preference-conditioned models for multiple multi-objective problems.",
@@ -182,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, InputError, UnsupportedError, CheckpointError) as exc:

@@ -22,6 +22,7 @@ time, ``hv_3d`` one ``hv_2d`` per f3 level; the tests hold both as oracles.
 from __future__ import annotations
 
 import bisect
+from itertools import repeat
 
 import numpy as np
 
@@ -203,22 +204,30 @@ def write_front_csv(path: str, points, reference) -> None:
     pts = _as_points(points)
     ref = _as_reference(reference, pts.shape[1])
     m = pts.shape[1]
-    lines = [
-        "# m=%d reference=%s" % (m, ",".join(csv_float(r) for r in ref)),
-        ",".join(f"f{j + 1}" for j in range(m)),
-    ]
-    row = ",".join(["%" + CSV_FLOAT_FORMAT] * m)  # printf-style, the same digits as csv_float
-    lines.extend(row % tuple(values) for values in pts.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "# m=%d reference=%s\n%s\n" % (m, ",".join(csv_float(r) for r in ref), _column_names(m))
+    row = ",".join(["%" + CSV_FLOAT_FORMAT] * m) + "\n"  # printf-style, the same digits as csv_float
+    atomic_write_text(path, header + (row * len(pts)) % tuple(pts.ravel().tolist()))
+
+
+def _column_names(m: int) -> str:
+    return ",".join(f"f{j + 1}" for j in range(m))
 
 
 def read_front_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a front file back; returns (points, reference)."""
+    """Read a front file back; returns (points, reference).
+
+    The format is what :func:`write_front_csv` writes: a ``# m=M
+    reference=r1,...,rM`` comment line, the column-name line ``f1,...,fM``,
+    then one row of M comma-separated values per point, each token read as
+    Python's ``float()`` reads it. Lines are stripped of surrounding
+    whitespace and blank lines are skipped.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read front file {path!r}: {exc}") from exc
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
     if not lines or not lines[0].startswith("#"):
         raise InputError(f"{path!r} is not a front file (missing header comment)")
     header = lines[0][1:].strip()
@@ -230,15 +239,25 @@ def read_front_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"front file header is malformed: {exc}") from exc
     if reference.shape != (m,):
         raise InputError("front file header reference does not match m")
-    rows = []
-    for line in lines[2:]:  # skip the column-name line
+    if len(lines) > 1 and lines[1] != _column_names(m):
+        raise InputError(f"front file column-name line is {lines[1]!r}, expected {_column_names(m)!r}")
+    rows = lines[2:]
+    if not rows:
+        raise InputError("front file contains no points")
+    # One conversion for the whole body; NumPy reads each str token with
+    # float(). Every row must hold m values, or a short row and a long row
+    # would reshape silently.
+    if set(map(str.count, rows, repeat(","))) == {m - 1}:
+        try:
+            return np.array(",".join(rows).split(","), dtype=np.float64).reshape(len(rows), m), reference
+        except ValueError:
+            pass
+    # Some row is malformed: parse row by row to name the first one.
+    for line in rows:
         try:
             values = [float(v) for v in line.split(",")]
         except ValueError:
             raise InputError(f"front row {line!r} is not a comma-separated list of numbers") from None
         if len(values) != m:
             raise InputError(f"front row has {len(values)} values, expected {m}")
-        rows.append(values)
-    if not rows:
-        raise InputError("front file contains no points")
-    return np.array(rows, dtype=np.float64), reference
+    raise AssertionError("a front row failed the bulk parse but parses alone")

@@ -133,11 +133,14 @@ class RunConfig:
         Returns the model architecture (which checks ``shared_depth`` against
         ``hidden_sizes``), the per-problem weights, the Dirichlet parameters
         and the evaluation grid; raises :class:`ConfigurationError` naming
-        the first mismatch, or a stub problem, which cannot be trained.
+        the first mismatch, or a problem without an evaluator (a stub) or
+        without a Jacobian, which cannot be trained.
         """
         for mop in suite.problems:
             if mop.is_stub:
                 raise ConfigurationError(f"problem '{mop.name}' is a stub; register an evaluator before use")
+            if mop.jacobian_batch is None:
+                raise ConfigurationError(f"problem '{mop.name}' has no Jacobian; register an evaluator first")
         k, m = suite.num_mops, suite.num_objectives
         weights = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (k,):

@@ -1,6 +1,6 @@
 """Print one SHA-256 per output artifact of a fixed set of copsl runs, then a digest.
 
-    python tests/hash_manifest.py --src path/to/tree/src [--work DIR]
+    python tests/hash_manifest.py --src path/to/tree/src [--work DIR] [--expect DIGEST]
 
 Every run is a ``copsl`` command line, started in its own subprocess with the
 given source tree first on ``PYTHONPATH`` and BLAS pinned to one thread. Two
@@ -27,7 +27,8 @@ The set covers:
 
 The last lines are two digests: ``digest`` over the set without the
 extension, comparable with manifests that predate it, and ``extended-digest``
-over every entry.
+over every entry. With ``--expect DIGEST`` the script exits 1 when ``digest``
+differs from DIGEST, so a bytes-unchanged check runs as one command.
 
 This is a tool, not a test: pytest does not collect it. Without the extension
 a run takes about 40 s on a 2-vCPU Xeon; the extension adds a few seconds with
@@ -171,6 +172,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", required=True, help="the src/ directory of the tree to run")
     parser.add_argument("--work", help="directory for the outputs, kept afterwards (default: a temporary one)")
+    parser.add_argument("--expect", metavar="DIGEST", help="exit 1 unless the digest line equals DIGEST")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="copsl-manifest-") as scratch:
         work = args.work or scratch
@@ -179,8 +181,12 @@ def main(argv=None) -> int:
         manifest.build()
         for line in manifest.lines(extended=True):
             print(line)
-        print(f"digest {sha256(chr(10).join(manifest.lines(extended=False)).encode())}")
+        digest = sha256(chr(10).join(manifest.lines(extended=False)).encode())
+        print(f"digest {digest}")
         print(f"extended-digest {sha256(chr(10).join(manifest.lines(extended=True)).encode())}")
+    if args.expect is not None and digest != args.expect:
+        print(f"digest {digest} differs from the expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import copsl
 from copsl.cli import main
 from copsl.metrics import read_front_csv, write_front_csv
 from copsl.model import ModelArchitecture, build_model, save_checkpoint
@@ -262,6 +266,15 @@ class TestHv:
         assert captured.out == ""
         assert captured.err == "error: front row '0.5,abc' is not a comma-separated list of numbers\n"
 
+    def test_front_without_column_names_exits_2(self, tmp_path, capsys):
+        # Skipping line 2 unread would drop the point (0.1, 0.2) and print 0.63.
+        path = tmp_path / "front.csv"
+        path.write_text("# m=2 reference=1,1\n0.1,0.2\n0.3,0.1\n")
+        assert main(["hv", "--front", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: front file column-name line is '0.1,0.2', expected 'f1,f2'\n"
+
     def test_embedded_reference_used_by_default(self, tmp_path, capsys):
         path = tmp_path / "front.csv"
         write_front_csv(str(path), np.array([[0.1, 0.2]]), np.array([1.0, 1.0]))
@@ -296,3 +309,27 @@ class TestDefaults:
         data.update(iterations=2, batch_size=3, hidden_sizes=[6], eval_grid=6, suite=["zdt1"])
         config.write_text(json.dumps(data))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; no call may see another's
+    arguments. Seeds that carried over would change the printed run count."""
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "c.json")
+    calls = [
+        ["run", "--config", "c.json", "--seed", "1", "--seed", "2", "--out", "out"],
+        ["run", "--config", "c.json", "--out", "out0"],
+        ["hv", "--front", "missing.csv"],
+        ["front", "--checkpoint", "out/model_seed1.ckpt", "--grid", "12", "--out", "front.csv"],
+        ["hv", "--front", "front_zdt2.csv"],
+        ["defaults"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(copsl.__file__)))
+    env.pop("COPSL_OUT_DIR", None)
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "copsl.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

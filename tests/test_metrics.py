@@ -312,3 +312,105 @@ class TestFrontCsv:
         path.write_text("f1,f2\n0,1\n")
         with pytest.raises(InputError):
             read_front_csv(str(path))
+
+    def test_header_alone_has_no_points(self, tmp_path):
+        path = tmp_path / "front.csv"
+        path.write_text("# m=2 reference=1,1\n")
+        with pytest.raises(InputError, match="front file contains no points"):
+            read_front_csv(str(path))
+
+
+def read_by_tokens(text: str) -> np.ndarray:
+    """The row-by-row reader: every token through float(), the first bad row
+    named. Holds the messages and values read_front_csv must reproduce."""
+    lines = [line.strip() for line in text.replace("\r\n", "\n").split("\n") if line.strip()]
+    m = int(lines[0].split("m=")[1].split()[0])
+    rows = []
+    for line in lines[2:]:
+        try:
+            values = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise InputError(f"front row {line!r} is not a comma-separated list of numbers") from None
+        if len(values) != m:
+            raise InputError(f"front row has {len(values)} values, expected {m}")
+        rows.append(values)
+    return np.array(rows, dtype=np.float64)
+
+
+# Tokens float() reads: round-trip reprs of any double, signed zeros,
+# subnormals, values that round to 0 or overflow to inf, and underscores.
+TOKENS = st.one_of(
+    st.floats(allow_nan=False).map(csv_float),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300).map(csv_float),
+    st.sampled_from(
+        ["0", "-0", "-0.0", "+0.0", "5e-324", "-4.9e-324", "2.2250738585072009e-308", "1e-400", "1e400",
+         "-inf", "Infinity", "nan", "1_0", "1_000.5", "0.1e1_0"]
+    ),
+)
+PADDING = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def front_files(draw, bad_row=None):
+    """(text, m): a front file in any layout float() and line stripping
+    accept; ``bad_row(rows)``, when given, is a strategy for rows it breaks."""
+    m = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.lists(TOKENS, min_size=m, max_size=m), min_size=1, max_size=12))
+    if bad_row is not None:
+        rows = draw(bad_row(rows))
+    pad = lambda: draw(PADDING)  # noqa: E731
+    body = [pad() + ",".join(pad() + token + pad() for token in row) + pad() for row in rows]
+    lines = [f"# m={m} reference={','.join(['1'] * m)}", pad() + ",".join(f"f{j + 1}" for j in range(m)) + pad()]
+    for line in body:
+        lines.extend([pad()] * draw(st.integers(0, 2)) + [line])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2])), m
+
+
+def with_garbage(rows):
+    """One token replaced by one float() rejects."""
+    bad = st.sampled_from(["abc", "", "0x1p3", "1__0", "1.0.0", "--1", "1e", "nan nan"])
+    return st.tuples(st.integers(0, len(rows) - 1), bad).map(
+        lambda t: [r[:-1] + [t[1]] if i == t[0] else r for i, r in enumerate(rows)]
+    )
+
+
+def with_long_and_short_row(rows):
+    """One row one value longer and another one shorter: the file-wide count
+    is still a multiple of m."""
+    if len(rows) < 2:
+        rows = rows + [list(rows[0])]
+    pairs = st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True)
+    return pairs.map(
+        lambda ij: [r + ["1"] if i == ij[0] else r[1:] if i == ij[1] else r for i, r in enumerate(rows)]
+    )
+
+
+def read_text(tmp_path_factory, text: str):
+    path = tmp_path_factory.mktemp("csv") / "front.csv"
+    path.write_bytes(text.encode())
+    return read_front_csv(str(path))
+
+
+class TestFrontCsvReader:
+    @settings(max_examples=200, deadline=None)
+    @given(front_files())
+    def test_equals_float_per_token_bitwise(self, tmp_path_factory, case):
+        text, m = case
+        points, reference = read_text(tmp_path_factory, text)
+        expected = read_by_tokens(text)
+        assert points.shape == expected.shape == (expected.shape[0], m)
+        assert points.tobytes() == expected.tobytes()
+        assert np.array_equal(reference, np.ones(m))
+
+    # The example holds 4 values in two rows of m = 2: a bare reshape accepts it.
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(front_files(with_garbage), front_files(with_long_and_short_row)))
+    @example(("# m=2 reference=1,1\nf1,f2\n0.1,0.2,0.3\n0.4\n", 2))
+    def test_malformed_rows_raise_the_row_by_row_message(self, tmp_path_factory, case):
+        text, _ = case
+        with pytest.raises(InputError) as expected:
+            read_by_tokens(text)
+        with pytest.raises(InputError) as caught:
+            read_text(tmp_path_factory, text)
+        assert str(caught.value) == str(expected.value)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import copsl.problems as problems_mod
 import copsl.trainer as trainer_mod
 from copsl.errors import ConfigurationError, InputError, TrainingDivergedError
 from copsl.model import backward_all, count_params, param_layout
@@ -108,6 +109,17 @@ class TestConfig:
         monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
         with pytest.raises(ConfigurationError, match=message):
             run_batch(config, seeds=(0,))
+
+    def test_problem_without_jacobian_raises_before_any_training(self, monkeypatch):
+        problem = dataclasses.replace(get_problem("zdt1"), name="nojac", jacobian_batch=None)
+        monkeypatch.setitem(problems_mod._REGISTRY, problem.name, problem)
+        config = tiny_config(suite=("zdt2", "nojac"))
+        message = "problem 'nojac' has no Jacobian; register an evaluator first"
+        with pytest.raises(ConfigurationError, match=message):
+            config.check_suite(config.resolve_suite())
+        monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ConfigurationError, match=message):
+            run_batch(config, seeds=(0, 1))
 
 
 class TestTrainingLoop:
