@@ -9,20 +9,25 @@ Costs for N points: ``nondominated_filter`` sorts lexicographically and
 sweeps (Kung, Luccio & Preparata 1975), O(N log N) for two objectives and at
 worst O(N^2) for three; it rejects four or more. ``hv_2d`` filters, sorts and
 adds one rectangle per step. ``hv_3d`` sweeps the front by f3, entering each
-point into a 2-d staircase and adding each slab's thickness times the
-staircase's area: O(N^2).
+point into a 2-d staircase whose rectangles and their running sums it keeps:
+an entering point changes two rectangles and the sums to their right, which
+one C-level fold (``itertools.accumulate``) recomputes, and each slab adds
+its thickness times the last sum. The worst case stays O(N^2), in that fold.
 
 The bitwise contract: the filter returns what the O(N^2) pairwise definition
 returns, the undominated rows in input order with duplicates collapsed to
 their first occurrence by bytes (so ``-0.0`` and ``0.0`` rows both stay). The
 hypervolumes equal, bit for bit, the plain sweeps that add one rectangle at a
 time, ``hv_3d`` one ``hv_2d`` per f3 level; the tests hold both as oracles.
+``hv_2d``, ``hv_3d`` and ``hypervolume`` clip and filter whatever they are
+given; ``filtered_hypervolume`` scores what ``nondominated_filter`` returned
+without filtering it again, with the same bits.
 """
 
 from __future__ import annotations
 
 import bisect
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -93,27 +98,28 @@ def nondominated_filter(points) -> np.ndarray:
         # staircase of the smaller rows' (f2, f3) covers the row.
         xs: list[float] = []
         ys: list[float] = []
-        entered = [_enter_staircase(xs, ys, x, y) for x, y in ranked[starts, 1:].tolist()]
+        entered = [_enter_staircase(xs, ys, x, y) >= 0 for x, y in ranked[starts, 1:].tolist()]
         group_kept = np.array(entered, dtype=bool)
     keep = np.empty(len(pts), dtype=bool)
     keep[order] = np.repeat(group_kept, sizes)
     return _first_occurrences(pts[keep])
 
 
-def _enter_staircase(xs: list[float], ys: list[float], x: float, y: float) -> bool:
+def _enter_staircase(xs: list[float], ys: list[float], x: float, y: float) -> int:
     """Add (x, y) to the staircase ``xs`` rising, ``ys`` falling, unless a
     step weakly dominates it, and drop the steps it weakly dominates; returns
-    whether it entered. Only the last step at or left of x can dominate it.
+    the index it entered at, or -1. Only the last step at or left of x can
+    dominate it.
     """
     left = bisect.bisect_right(xs, x)
     if left and ys[left - 1] <= y:
-        return False
+        return -1
     stop = end = bisect.bisect_left(xs, x)
     while end < len(xs) and ys[end] >= y:
         end += 1
     xs[stop:end] = [x]
     ys[stop:end] = [y]
-    return True
+    return stop
 
 
 def _staircase_area(f1: np.ndarray, f2: np.ndarray, ref: np.ndarray) -> float:
@@ -122,6 +128,51 @@ def _staircase_area(f1: np.ndarray, f2: np.ndarray, ref: np.ndarray) -> float:
     prev = np.concatenate((ref[1:2], f2[:-1]))
     terms = (ref[0] - f1) * (prev - f2)
     return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
+def _sweep_2d(front: np.ndarray, ref: np.ndarray) -> float:
+    """Hypervolume of a nonempty 2-d front without duplicate rows, strictly
+    below ``ref``."""
+    front = front[np.argsort(front[:, 0], kind="stable")]
+    return _staircase_area(front[:, 0], front[:, 1], ref)
+
+
+def _sweep_3d(front: np.ndarray, ref: np.ndarray) -> float:
+    """Hypervolume of a nonempty 3-d front without duplicate rows, strictly
+    below ``ref``, by a sweep over f3.
+
+    Between consecutive f3 levels the dominated cross-section is constant:
+    the area of the (f1, f2) staircase of the points seen so far, each slab
+    adding it times its thickness. ``terms[j]`` is step j's rectangle
+    ``(r0 - xs[j]) * (ys[j - 1] - ys[j])`` (``r1`` for ``ys[-1]``) and
+    ``sums[j]`` the left fold of ``terms[:j]``, so ``sums[-1]`` is the area
+    bit for bit as :func:`_staircase_area` adds it. A point entering at i
+    changes only terms i and i + 1, and the sums after i.
+    """
+    front = front[np.argsort(front[:, 2], kind="stable")]
+    levels = front[:, 2].tolist() + [float(ref[2])]
+    r0, r1 = float(ref[0]), float(ref[1])
+    xs: list[float] = []
+    ys: list[float] = []
+    terms: list[float] = []
+    sums = [0.0]
+    volume = 0.0
+    for k, (x, y) in enumerate(front[:, :2].tolist()):
+        # A point equal to a step, even as -0.0 to 0.0, would only add a
+        # zero-area rectangle to hv_2d's sum, so leaving it out keeps the bits.
+        i = _enter_staircase(xs, ys, x, y)
+        if i >= 0:
+            # It replaced the old steps i..end-1; the old step end is now i + 1.
+            end = len(terms) - len(xs) + i + 1
+            changed = [(r0 - x) * ((ys[i - 1] if i else r1) - y)]
+            if i + 1 < len(xs):
+                changed.append((r0 - xs[i + 1]) * (y - ys[i + 1]))
+            terms[i : end + 1] = changed
+            sums[i:] = accumulate(terms[i:], initial=sums[i])
+        thickness = levels[k + 1] - levels[k]
+        if thickness > 0.0:
+            volume += thickness * sums[-1]
+    return volume
 
 
 def hv_2d(points, reference) -> float:
@@ -133,50 +184,47 @@ def hv_2d(points, reference) -> float:
     pts = _as_points(points, dim=2)
     ref = _as_reference(reference, 2)
     pts = pts[(pts < ref).all(axis=1)]
-    if pts.shape[0] == 0:
-        return 0.0
-    front = nondominated_filter(pts)
-    front = front[np.argsort(front[:, 0], kind="stable")]
-    return _staircase_area(front[:, 0], front[:, 1], ref)
+    return _sweep_2d(nondominated_filter(pts), ref) if len(pts) else 0.0
 
 
 def hv_3d(points, reference) -> float:
-    """Exact hypervolume of a 3-d point set via a sweep over f3.
-
-    Between consecutive f3 levels of the front the dominated cross-section is
-    constant: the 2-d hypervolume of the points seen so far, kept as a
-    staircase that each level's point enters. Each slab adds that area times
-    its thickness.
-    """
+    """Exact hypervolume of a 3-d point set against a reference point,
+    clipped as :func:`hv_2d` clips."""
     pts = _as_points(points, dim=3)
     ref = _as_reference(reference, 3)
     pts = pts[(pts < ref).all(axis=1)]
-    if pts.shape[0] == 0:
-        return 0.0
-    front = nondominated_filter(pts)
-    front = front[np.argsort(front[:, 2], kind="stable")]
-    levels = front[:, 2].tolist() + [float(ref[2])]
-    xs: list[float] = []
-    ys: list[float] = []
-    volume = 0.0
-    for k, (x, y) in enumerate(front[:, :2].tolist()):
-        # A point equal to a step, even as -0.0 to 0.0, would only add a
-        # zero-area rectangle to hv_2d's sum, so leaving it out keeps the bits.
-        _enter_staircase(xs, ys, x, y)
-        thickness = levels[k + 1] - levels[k]
-        if thickness > 0.0:
-            volume += thickness * _staircase_area(np.array(xs), np.array(ys), ref)
-    return float(volume)
+    return _sweep_3d(nondominated_filter(pts), ref) if len(pts) else 0.0
 
 
 def hypervolume(points, reference) -> float:
     """Exact hypervolume, by the reference point's length: 2 or 3 objectives."""
-    m = len(reference)
-    if m == 2:
+    shape = np.shape(reference)
+    if len(shape) != 1:
+        raise InputError(f"reference point must have shape (m,) for m = 2 or 3 objectives, got shape {shape}")
+    if shape[0] == 2:
         return hv_2d(points, reference)
-    if m == 3:
+    if shape[0] == 3:
         return hv_3d(points, reference)
-    raise UnsupportedError(f"exact hypervolume is implemented for 2 or 3 objectives, got {m}")
+    raise UnsupportedError(f"exact hypervolume is implemented for 2 or 3 objectives, got {shape[0]}")
+
+
+_SWEEPS = {2: _sweep_2d, 3: _sweep_3d}
+
+
+def filtered_hypervolume(front: np.ndarray, reference) -> float:
+    """:func:`hypervolume` of what :func:`nondominated_filter` returned,
+    without filtering it again; the bits are the same.
+
+    The filter commutes with clipping row for row, since whatever dominates
+    a point strictly below the reference is itself strictly below it, and a
+    front holds no duplicate rows.
+    """
+    m = front.shape[1]
+    if m not in _SWEEPS:
+        raise UnsupportedError(f"exact hypervolume is implemented for 2 or 3 objectives, got {m}")
+    ref = _as_reference(reference, m)
+    front = front[(front < ref).all(axis=1)]
+    return _SWEEPS[m](front, ref) if len(front) else 0.0
 
 
 def log_hv_diff(hv_true: float, hv_learned: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CopslError, TrainingDivergedError
 from .ioutil import atomic_write_text
-from .metrics import csv_float, hypervolume, log_hv_diff, nondominated_filter
+from .metrics import csv_float, filtered_hypervolume, log_hv_diff, nondominated_filter
 from .model import (
     CoPslModel,
     ModelArchitecture,
@@ -262,14 +262,15 @@ def evaluate_model(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> 
     """Score :func:`model_fronts`.
 
     Returns the nondominated front per problem, its hypervolume against the
-    problem's reference point, and the log hypervolume gap to the true front
+    problem's reference point (each front filtered once, by
+    :func:`model_fronts`), and the log hypervolume gap to the true front
     where a closed form exists (None otherwise).
     """
     fronts = model_fronts(model, suite, grid)
     hypervolumes: list[float] = []
     log_diffs: list[Optional[float]] = []
     for mop, front in zip(suite.problems, fronts):
-        hv = hypervolume(front, mop.reference_point)
+        hv = filtered_hypervolume(front, mop.reference_point)
         hypervolumes.append(hv)
         if mop.front_hypervolume is not None:
             log_diffs.append(log_hv_diff(true_front_hv(mop, mop.reference_point), hv))

@@ -54,23 +54,23 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
 
 
 def brute_force_nondominated(points: np.ndarray) -> np.ndarray:
-    """Quadratic-time dominance filter straight from the definition."""
+    """Quadratic-time dominance filter straight from the definition: a point
+    goes when some row is no larger everywhere and smaller somewhere (never
+    true of the point itself). Tested for blocks of points against every
+    row, one objective at a time: entry [i, j] compares row j with point i."""
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    dominated = np.zeros(points.shape[0], dtype=bool)
+    for start in range(0, points.shape[0], 256):
+        block = points[start : start + 256]
+        no_larger = np.ones((block.shape[0], points.shape[0]), dtype=bool)
+        smaller = np.zeros_like(no_larger)
+        for column, values in zip(points.T, block.T):
+            no_larger &= column <= values[:, None]
+            smaller |= column < values[:, None]
+        dominated[start : start + 256] = (no_larger & smaller).any(axis=1)
     keep = []
     seen = set()
-    for i in range(n):
-        dominated = False
-        for j in range(n):
-            if i == j:
-                continue
-            if all(points[j, c] <= points[i, c] for c in range(points.shape[1])) and any(
-                points[j, c] < points[i, c] for c in range(points.shape[1])
-            ):
-                dominated = True
-                break
-        if dominated:
-            continue
+    for i in np.flatnonzero(~dominated):
         key = points[i].tobytes()
         if key in seen:
             continue

@@ -1,6 +1,7 @@
 """Print one SHA-256 per output artifact of a fixed set of copsl runs, then a digest.
 
     python tests/hash_manifest.py --src path/to/tree/src [--work DIR] [--expect DIGEST]
+                                  [--expect-extended DIGEST]
 
 Every run is a ``copsl`` command line, started in its own subprocess with the
 given source tree first on ``PYTHONPATH`` and BLAS pinned to one thread. Two
@@ -28,7 +29,10 @@ The set covers:
 The last lines are two digests: ``digest`` over the set without the
 extension, comparable with manifests that predate it, and ``extended-digest``
 over every entry. With ``--expect DIGEST`` the script exits 1 when ``digest``
-differs from DIGEST, so a bytes-unchanged check runs as one command.
+differs from DIGEST, and with ``--expect-extended DIGEST`` when
+``extended-digest`` does, so a bytes-unchanged check runs as one command. The
+extension's 990-point ``dtlz2`` front is the largest 3-d hypervolume input in
+the set.
 
 This is a tool, not a test: pytest does not collect it. Without the extension
 a run takes about 40 s on a 2-vCPU Xeon; the extension adds a few seconds with
@@ -173,6 +177,9 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="the src/ directory of the tree to run")
     parser.add_argument("--work", help="directory for the outputs, kept afterwards (default: a temporary one)")
     parser.add_argument("--expect", metavar="DIGEST", help="exit 1 unless the digest line equals DIGEST")
+    parser.add_argument(
+        "--expect-extended", metavar="DIGEST", help="exit 1 unless the extended-digest line equals DIGEST"
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="copsl-manifest-") as scratch:
         work = args.work or scratch
@@ -181,13 +188,17 @@ def main(argv=None) -> int:
         manifest.build()
         for line in manifest.lines(extended=True):
             print(line)
-        digest = sha256(chr(10).join(manifest.lines(extended=False)).encode())
-        print(f"digest {digest}")
-        print(f"extended-digest {sha256(chr(10).join(manifest.lines(extended=True)).encode())}")
-    if args.expect is not None and digest != args.expect:
-        print(f"digest {digest} differs from the expected {args.expect}", file=sys.stderr)
-        return 1
-    return 0
+        digests = {
+            "digest": sha256(chr(10).join(manifest.lines(extended=False)).encode()),
+            "extended-digest": sha256(chr(10).join(manifest.lines(extended=True)).encode()),
+        }
+        for name, digest in digests.items():
+            print(f"{name} {digest}")
+    expected = {"digest": args.expect, "extended-digest": args.expect_extended}
+    differing = [name for name, want in expected.items() if want is not None and digests[name] != want]
+    for name in differing:
+        print(f"{name} {digests[name]} differs from the expected {expected[name]}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from copsl.errors import InputError, UnsupportedError
 from copsl.metrics import (
     csv_float,
+    filtered_hypervolume,
     hv_2d,
     hv_3d,
+    hypervolume,
     log_hv_diff,
     nondominated_filter,
     read_front_csv,
@@ -51,6 +53,18 @@ def sets_with_reference(draw, m: int) -> tuple[np.ndarray, np.ndarray]:
         draw(st.sampled_from([column.max(), column.max() + 1.0, float(np.median(column))])) for column in pts.T
     ]
     return pts, np.array(ref)
+
+
+@st.composite
+def staircase_sweeps(draw) -> tuple[np.ndarray, np.ndarray]:
+    """3-d sets on a small integer grid, so that points rising in f3 often
+    enter the (f1, f2) staircase at its ends or in place of runs of steps,
+    with the reference on or beyond the grid."""
+    n = draw(st.integers(1, 30))
+    coordinate = st.integers(-1, 5).map(float)
+    pts = np.array(draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=n, max_size=n)))
+    ref = np.array([draw(st.sampled_from([5.0, 6.0])) for _ in range(3)])
+    return pts, ref
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -127,7 +141,20 @@ class TestHypervolumeBits:
         pts, ref = case
         assert same_bits(hv_3d(pts, ref), hv_3d_by_levels(pts, ref))
 
-    @pytest.mark.parametrize("m, count", [(2, 400), (3, 120)])
+    @settings(max_examples=300, deadline=None)
+    @given(staircase_sweeps())
+    @example((np.array([[0.0, 4.0, 0.0], [1.0, 3.0, 0.0], [2.0, 2.0, 0.0], [3.0, 1.0, 0.0], [0.5, 1.5, 1.0]]), np.full(3, 5.0)))
+    @example((np.array([[0.0, 4.0, 0.0], [1.0, 3.0, 0.0], [2.0, 2.0, 0.0], [-1.0, 4.5, 1.0]]), np.full(3, 5.0)))
+    @example((np.array([[0.0, 4.0, 0.0], [1.0, 3.0, 0.0], [2.0, 2.0, 0.0], [-1.0, 2.5, 1.0]]), np.full(3, 5.0)))
+    @example((np.array([[0.0, 4.0, 0.0], [1.0, 3.0, 0.0], [2.0, 2.0, 0.0], [4.0, -1.0, 1.0]]), np.full(3, 5.0)))
+    @example((np.array([[0.0, 4.0, 0.0], [1.0, 3.0, 0.0], [2.0, 2.0, 0.0], [-1.0, -1.0, 1.0]]), np.full(3, 5.0)))
+    def test_hv_3d_where_points_replace_steps(self, case):
+        # The examples enter a point after three steps: replacing two in the
+        # middle, at index 0 replacing none or two, at the end, and replacing all.
+        pts, ref = case
+        assert same_bits(hv_3d(pts, ref), hv_3d_by_levels(pts, ref))
+
+    @pytest.mark.parametrize("m, count", [(2, 400), (3, 120), (3, 600)])
     def test_on_a_front_of_hundreds_of_steps(self, m, count):
         # All points on the unit sphere: none dominates another, so the sums
         # run over hundreds of steps, where summation order shows in the bits.
@@ -136,6 +163,42 @@ class TestHypervolumeBits:
         ref = np.full(m, 1.1)
         exact, oracle = (hv_2d, hv_2d_by_steps) if m == 2 else (hv_3d, hv_3d_by_levels)
         assert same_bits(exact(pts, ref), oracle(pts, ref))
+
+
+class TestFilteredHypervolume:
+    """``filtered_hypervolume`` of the filtered set is ``hypervolume`` of the set, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(sets_with_reference))
+    @example((np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0])))
+    @example((np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.5], [0.0, 1.0, 0.5]]), np.full(3, 2.0)))
+    @example((np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 0.0]]), np.array([2.0, 2.0, 1.0])))
+    def test_equals_hypervolume_of_the_unfiltered_set(self, case):
+        # Examples: duplicates and signed zeros with points on the reference;
+        # ties in f3 (zero-thickness slabs); rows equal but for their zeros.
+        pts, ref = case
+        assert same_bits(filtered_hypervolume(nondominated_filter(pts), ref), hypervolume(pts, ref))
+
+    def test_rejects_nonfinite_reference(self):
+        with pytest.raises(InputError, match="reference point must be finite"):
+            filtered_hypervolume(np.array([[0.5, 0.5, 0.5]]), (1.0, np.nan, 1.0))
+
+    def test_rejects_a_reference_of_another_length(self):
+        with pytest.raises(InputError, match="reference point must have length 3"):
+            filtered_hypervolume(np.array([[0.5, 0.5, 0.5]]), (1.0, 1.0))
+
+
+class TestHypervolume:
+    @pytest.mark.parametrize("ref", [3.0, np.float64(3.0), [[3.0, 3.0]]])
+    def test_reference_of_the_wrong_shape_raises_input_error(self, ref):
+        with pytest.raises(InputError, match=r"reference point must have shape \(m,\)"):
+            hypervolume([[1.0, 2.0]], ref)
+
+    def test_dispatches_on_the_reference_length(self):
+        assert hypervolume([[0.0, 0.0]], (1.0, 2.0)) == 2.0
+        assert hypervolume([[0.0, 0.0, 0.0]], (1.0, 2.0, 3.0)) == 6.0
+        with pytest.raises(UnsupportedError, match="got 4"):
+            hypervolume([[0.0] * 4], (1.0,) * 4)
 
 
 class TestHv2d:

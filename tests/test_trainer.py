@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import copsl.metrics as metrics_mod
 import copsl.problems as problems_mod
 import copsl.trainer as trainer_mod
 from copsl.errors import ConfigurationError, InputError, TrainingDivergedError
+from copsl.metrics import nondominated_filter
 from copsl.model import backward_all, count_params, param_layout
 from copsl.problems import ProblemSuite, get_problem, suite_from_names
 from copsl.sampling import uniform_preference_grid
@@ -290,6 +292,24 @@ class TestEvaluateModel:
         grid = uniform_preference_grid(2, 33)
         report = evaluate_model(model, ZDT_PAIR, grid)
         assert all(front.shape[0] <= 33 for front in report.fronts)
+
+    @pytest.mark.parametrize("names", [("zdt1", "zdt2"), ("dtlz2",)])
+    def test_filters_each_front_once(self, monkeypatch, names):
+        suite = suite_from_names(list(names))
+        model, _ = train_copsl(tiny_config(suite=names, iterations=1), suite)
+        grid = uniform_preference_grid(suite.num_objectives, 15)
+        expected = evaluate_model(model, suite, grid)
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return nondominated_filter(points)
+
+        monkeypatch.setattr(metrics_mod, "nondominated_filter", counted)
+        monkeypatch.setattr(trainer_mod, "nondominated_filter", counted)
+        report = evaluate_model(model, suite, grid)
+        assert len(calls) == suite.num_mops
+        assert report.hypervolumes == expected.hypervolumes
 
     def test_non_simplex_grid_rejected(self):
         model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
