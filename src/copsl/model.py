@@ -233,8 +233,7 @@ def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) 
 
     def backprop(positions, upstream):
         for k in reversed(positions):
-            gw, gb = layout[k].views(grads)
-            gw[...], gb[...], upstream = layer_backward(layout[k], model.params, caches[k], upstream)
+            upstream = layer_backward(layout[k], model.params, caches[k], upstream, grads)
         return upstream
 
     trunk_upstream: np.ndarray | None = None

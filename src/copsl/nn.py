@@ -81,14 +81,15 @@ def layer_forward(layer: DenseLayer, params: np.ndarray, x: np.ndarray) -> tuple
 
 
 def layer_backward(
-    layer: DenseLayer, params: np.ndarray, cache: tuple, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    layer: DenseLayer, params: np.ndarray, cache: tuple, upstream: np.ndarray, grads: np.ndarray
+) -> np.ndarray:
     """Backpropagate ``upstream = dL/d(output)``, of the output's shape, through the layer.
 
-    Returns (d_weights, d_biases, d_inputs). Both activations' derivatives
-    are read off the cached output: the rectifier passes ``upstream`` where
-    it is positive (its subgradient at exactly zero is taken as zero), and
-    the sigmoid's slope is s * (1 - s).
+    Writes d_weights and d_biases into the layer's (W, b) views of
+    ``grads``, a flat vector laid out like ``params``, and returns d_inputs.
+    Both activations' derivatives are read off the cached output: the
+    rectifier passes ``upstream`` where it is positive (its subgradient at
+    exactly zero is taken as zero), and the sigmoid's slope is s * (1 - s).
     """
     x, out = cache
     if layer.activation == "relu":
@@ -96,4 +97,7 @@ def layer_backward(
     else:
         delta = upstream * out * (1.0 - out)
     w, _ = layer.views(params)
-    return delta.T @ x, delta.sum(axis=0), delta @ w
+    gw, gb = layer.views(grads)
+    np.matmul(delta.T, x, out=gw)
+    delta.sum(axis=0, out=gb)
+    return delta @ w

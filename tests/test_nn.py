@@ -20,6 +20,13 @@ def make_layer(weights, biases, activation):
     return layer, np.concatenate([w.ravel(), b])
 
 
+def backward(layer, params, cache, upstream):
+    """(d_weights, d_biases, d_inputs), with the gradients read back from the vector they were written to."""
+    grads = np.empty_like(params)
+    dx = layer_backward(layer, params, cache, upstream, grads)
+    return (*layer.views(grads), dx)
+
+
 def random_layer(seed, fan_in, fan_out, activation):
     """Weights, then biases, uniform on +-1/sqrt(fan_in), drawn as build_model draws them."""
     rng = RngStream(seed)
@@ -73,20 +80,20 @@ class TestBackward:
     def test_dead_rectifier_unit(self):
         layer, params = make_layer([[1.0]], [0.0], "relu")
         _, cache = layer_forward(layer, params, np.array([[-1.0]]))
-        dw, db, dx = layer_backward(layer, params, cache, np.array([[123.0]]))
+        dw, db, dx = backward(layer, params, cache, np.array([[123.0]]))
         assert np.array_equal(dx, [[0.0]])
         assert np.array_equal(dw, [[0.0]])
 
     def test_rectifier_at_exact_zero(self):
         layer, params = make_layer([[1.0]], [0.0], "relu")
         _, cache = layer_forward(layer, params, np.array([[0.0]]))
-        _, _, dx = layer_backward(layer, params, cache, np.array([[1.0]]))
+        _, _, dx = backward(layer, params, cache, np.array([[1.0]]))
         assert np.array_equal(dx, [[0.0]])
 
     def test_sigmoid_quarter_slope(self):
         layer, params = make_layer([[1.0]], [0.0], "sigmoid")
         _, cache = layer_forward(layer, params, np.array([[0.0]]))
-        dw, db, dx = layer_backward(layer, params, cache, np.array([[1.0]]))
+        dw, db, dx = backward(layer, params, cache, np.array([[1.0]]))
         assert dx[0, 0] == pytest.approx(0.25)
         assert db[0] == pytest.approx(0.25)
 
@@ -101,7 +108,7 @@ class TestBackward:
             return float((out * probe).sum())
 
         _, cache = layer_forward(layer, params, x)
-        dw, db, dx = layer_backward(layer, params, cache, probe)
+        dw, db, dx = backward(layer, params, cache, probe)
 
         fd_params = central_difference(lambda v: functional(v, x), params.copy())
         fd_x = central_difference(lambda v: functional(params, v), x.copy())
