@@ -1,7 +1,18 @@
-"""Adam with bias correction, updating a flat parameter vector in place."""
+"""Adam with bias correction, updating a flat parameter vector in place.
+
+The bias correction is folded into the step, as Kingma & Ba (2015, §2, the
+paragraph before §2.1) suggest: rather than dividing both moments by their
+corrections element by element, each step computes one scalar step size
+lr * sqrt(1 - beta2^t) / (1 - beta1^t) and one epsilon_hat =
+epsilon * sqrt(1 - beta2^t), and every element pays one square root and one
+division. In real arithmetic the update is the textbook one; in floating
+point it differs in the last bits, so runs made before the fold do not
+reproduce bit for bit.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +52,21 @@ def init_adam_state(
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float) -> None:
     """One bias-corrected Adam update of ``params``, the state advanced in place.
 
-    The update is elementwise, so it runs over cache-sized chunks: the
-    temporaries stay small and the result is the same, bit for bit. The
-    learning rate is the one :meth:`RunConfig.validate` checked.
+    The corrections are folded into a scalar step size and epsilon_hat
+    (Kingma & Ba 2015, §2), so each element moves by
+    step_size * m / (sqrt(v) + epsilon_hat): the textbook
+    lr * m_hat / (sqrt(v_hat) + epsilon) in real arithmetic, not bit for
+    bit. The update is elementwise, so it runs over cache-sized chunks: the
+    temporaries stay small and the result is the same, bit for bit, as over
+    the whole vector. The learning rate is the one :meth:`RunConfig.validate`
+    checked.
     """
     if grads.shape != params.shape:
         raise InternalError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
     t = state.step + 1
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    correction = math.sqrt(1.0 - state.beta2**t)
+    step_size = learning_rate * correction / (1.0 - state.beta1**t)
+    epsilon_hat = state.epsilon * correction
     for start in range(0, params.size, CHUNK):
         part = slice(start, start + CHUNK)
         p, g, m, v = params[part], grads[part], state.first_moment[part], state.second_moment[part]
@@ -57,5 +74,5 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        p -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        p -= step_size * m / (np.sqrt(v) + epsilon_hat)
     state.step = t

@@ -2,18 +2,21 @@
 
 Every random draw in the package flows through :class:`RngStream`, which pins
 a named counter-based generator (Philox) so that a sampling sequence is a pure
-function of (algorithm id, seed, stream) on any platform.
+function of (algorithm id, seed, stream) on any platform. Gamma variates, and
+so Dirichlet preferences, come from the NumPy ``Generator``'s own ``gamma``
+on that stream; the algorithm id names both the bit generator and this
+sampling scheme.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-RNG_ALGORITHM = "philox4x64-10"
+# Names the bit generator and the sampling scheme on top of it. Records made
+# under "philox4x64-10" drew gamma variates with a scalar Marsaglia-Tsang loop.
+RNG_ALGORITHM = "philox4x64-10/generator-gamma"
 
 # Preference components are clamped below this value so reciprocal-weighted
 # losses never divide by zero.
@@ -48,44 +51,32 @@ class RngStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
+    def gamma(self, shape, size=None):
+        """Gamma(shape, 1) draws; ``shape`` broadcasts against ``size``."""
+        return self._gen.gamma(shape, 1.0, size)
+
 
 def sample_gamma(rng: RngStream, shape: float) -> float:
-    """Draw one Gamma(shape, 1) variate.
+    """Draw one Gamma(shape, 1) variate from the stream's Generator.
 
-    Uses the Marsaglia-Tsang squeeze/acceptance method for shape >= 1 and the
-    boosting transform Gamma(a) = Gamma(a + 1) * U^(1/a) for shape < 1.
+    :func:`sample_preferences` draws its whole block with one
+    :meth:`RngStream.gamma` call and does not go through here; this scalar
+    form stays because the benchmark's tracer counts calls to it.
     """
     shape = float(shape)
     if not shape > 0.0:
         raise InputError(f"gamma shape must be positive, got {shape}")
-    if shape < 1.0:
-        boost = rng.random() ** (1.0 / shape)
-        return sample_gamma(rng, shape + 1.0) * boost
-
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.standard_normal()
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.random()
-        if u <= 0.0:
-            continue
-        x2 = x * x
-        if u < 1.0 - 0.0331 * x2 * x2:
-            return d * v
-        if math.log(u) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
-            return d * v
+    return float(rng.gamma(shape))
 
 
 def sample_preferences(rng: RngStream, alpha, batch_size: int) -> np.ndarray:
     """Sample ``batch_size`` preference vectors from Dirichlet(alpha).
 
-    Each row is built from independent gamma draws normalized to the simplex,
-    then clamped below at MIN_PREFERENCE and renormalized so no component is
-    exactly zero.
+    The (batch_size, len(alpha)) block of gamma draws comes from one
+    :meth:`RngStream.gamma` call; a row whose draws all underflow to zero
+    (likely only for tiny alpha) is drawn again. Each row is normalized to
+    the simplex, then clamped below at MIN_PREFERENCE and renormalized so no
+    component is exactly zero.
 
     Returns an array of shape (batch_size, len(alpha)).
     """
@@ -97,22 +88,20 @@ def sample_preferences(rng: RngStream, alpha, batch_size: int) -> np.ndarray:
     if batch_size < 1:
         raise InputError(f"batch size must be >= 1, got {batch_size}")
 
-    m = alpha.size
-    prefs = np.empty((batch_size, m), dtype=np.float64)
-    for b in range(batch_size):
-        while True:
-            row = np.array([sample_gamma(rng, a) for a in alpha])
-            total = row.sum()
-            if total > 0.0:
-                break
-        row /= total
-        row = np.maximum(row, MIN_PREFERENCE)
-        row /= row.sum()
-        # Renormalization can push a clamped entry a hair back under the
-        # floor; re-clamping perturbs the sum by O(m * MIN_PREFERENCE^2),
-        # far inside the 1e-9 simplex tolerance.
-        prefs[b] = np.maximum(row, MIN_PREFERENCE)
-    return prefs
+    prefs = rng.gamma(alpha, (batch_size, alpha.size))
+    totals = prefs.sum(axis=1)
+    empty = ~(totals > 0.0)
+    while empty.any():
+        prefs[empty] = rng.gamma(alpha, (int(empty.sum()), alpha.size))
+        totals[empty] = prefs[empty].sum(axis=1)
+        empty = ~(totals > 0.0)
+    prefs /= totals[:, None]
+    np.maximum(prefs, MIN_PREFERENCE, out=prefs)
+    prefs /= prefs.sum(axis=1, keepdims=True)
+    # Renormalization can push a clamped entry a hair back under the floor;
+    # re-clamping perturbs the sum by O(m * MIN_PREFERENCE^2), far inside
+    # the 1e-9 simplex tolerance.
+    return np.maximum(prefs, MIN_PREFERENCE, out=prefs)
 
 
 def uniform_preference_grid(num_objectives: int, count: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,32 @@ class TestAdam:
             adam_step(params, g, state, lr)
             m = beta1 * m + (1.0 - beta1) * g
             v = beta2 * v + (1.0 - beta2) * g * g
-            reference = reference - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+            correction = math.sqrt(1.0 - beta2**t)
+            step_size = lr * correction / (1.0 - beta1**t)
+            reference = reference - step_size * m / (np.sqrt(v) + eps * correction)
         assert np.array_equal(params, reference)
+
+    def test_folded_update_tracks_textbook_formula(self):
+        # 400 steps pass t ~ 350, where 1 - beta1^t rounds to exactly 1.
+        # Gradient scales down to 1e-10 put sqrt(v_hat) below epsilon, so
+        # the folded epsilon_hat matters as much as the folded step size.
+        rng = RngStream(5)
+        size = 4096
+        params = rng.uniform(1.0, 2.0, size)
+        reference = params.copy()
+        scale = 10.0 ** rng.uniform(-10.0, 0.0, size)
+        state = init_adam_state(params)
+        m = np.zeros(size)
+        v = np.zeros(size)
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        for t in range(1, 401):
+            g = scale * rng.standard_normal(size)
+            adam_step(params, g, state, lr)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            reference -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+        assert state.step == 400
+        assert np.abs(params - reference).max() <= 1e-10 * np.abs(reference).min()
 
     def test_deterministic(self):
         results = []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from copsl.errors import ConfigurationError, InputError
 from copsl.sampling import (
@@ -95,6 +97,39 @@ class TestPreferences:
     def test_rejects_bad_batch(self):
         with pytest.raises(InputError):
             sample_preferences(RngStream(0), (1.0, 1.0), 0)
+
+    def test_rows_of_underflowed_draws_are_redrawn(self):
+        # At alpha = 1e-3 about half of all gamma draws underflow to 0, so a
+        # batch of 64 two-entry rows almost surely needs a second draw.
+        blocks = []
+
+        class RecordingStream(RngStream):
+            def gamma(self, shape, size=None):
+                blocks.append(size)
+                return super().gamma(shape, size)
+
+        prefs = sample_preferences(RecordingStream(7), (1e-3, 1e-3), 64)
+        assert blocks[0] == (64, 2) and len(blocks) > 1
+        assert prefs.min() >= MIN_PREFERENCE
+        assert np.abs(prefs.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda m: st.lists(st.floats(1e-3, 50.0), min_size=m, max_size=m)),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+@example([1e-3, 1e-3], 64, 0)
+@example([1e-3, 50.0, 1e-3], 1, 1)
+def test_preferences_are_floored_simplex_rows_and_reproducible(alpha, batch_size, seed):
+    prefs = sample_preferences(RngStream(seed), alpha, batch_size)
+    assert prefs.shape == (batch_size, len(alpha))
+    assert np.isfinite(prefs).all()
+    assert prefs.min() >= MIN_PREFERENCE
+    assert np.abs(prefs.sum(axis=1) - 1.0).max() <= 1e-9
+    again = sample_preferences(RngStream(seed), alpha, batch_size)
+    assert prefs.tobytes() == again.tobytes()
 
 
 class TestGrid:

@@ -155,7 +155,7 @@ class TestTrainingLoop:
     def test_losses_finite_and_recorded(self):
         _, rec = train_copsl(tiny_config(loss="ls"), ZDT_PAIR)
         assert np.isfinite(rec.total_loss).all()
-        assert rec.rng_algorithm == "philox4x64-10"
+        assert rec.rng_algorithm == "philox4x64-10/generator-gamma"
         assert rec.param_count == count_params(train_copsl(tiny_config(), ZDT_PAIR)[0])
 
     def test_exactly_one_batch_evaluation_per_mop_per_iteration(self):
