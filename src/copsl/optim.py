@@ -6,8 +6,7 @@ corrections element by element, each step computes one scalar step size
 lr * sqrt(1 - beta2^t) / (1 - beta1^t) and one epsilon_hat =
 epsilon * sqrt(1 - beta2^t), and every element pays one square root and one
 division. In real arithmetic the update is the textbook one; in floating
-point it differs in the last bits, so runs made before the fold do not
-reproduce bit for bit.
+point it differs from it in the last bits.
 """
 
 from __future__ import annotations
@@ -52,14 +51,13 @@ def init_adam_state(
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float) -> None:
     """One bias-corrected Adam update of ``params``, the state advanced in place.
 
-    The corrections are folded into a scalar step size and epsilon_hat
-    (Kingma & Ba 2015, §2), so each element moves by
-    step_size * m / (sqrt(v) + epsilon_hat): the textbook
-    lr * m_hat / (sqrt(v_hat) + epsilon) in real arithmetic, not bit for
-    bit. The update is elementwise, so it runs over cache-sized chunks: the
-    temporaries stay small and the result is the same, bit for bit, as over
-    the whole vector. The learning rate is the one :meth:`RunConfig.validate`
-    checked.
+    Each element moves by step_size * m / (sqrt(v) + epsilon_hat), with the
+    bias corrections folded into the two scalars (Kingma & Ba 2015, §2): the
+    textbook lr * m_hat / (sqrt(v_hat) + epsilon) in real arithmetic, but not
+    bit for bit. The update is elementwise, so it runs over cache-sized
+    chunks: the temporaries stay small and the result is the same, bit for
+    bit, as over the whole vector. The learning rate is the one
+    :meth:`RunConfig.validate` checked.
     """
     if grads.shape != params.shape:
         raise InternalError(f"gradient shape {grads.shape} does not match parameters {params.shape}")

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-# Names the bit generator and the sampling scheme on top of it. Records made
-# under "philox4x64-10" drew gamma variates with a scalar Marsaglia-Tsang loop.
+# Names the bit generator and the sampling scheme on top of it; a change to
+# either changes the draws, so it gets a new id.
 RNG_ALGORITHM = "philox4x64-10/generator-gamma"
 
 # Preference components are clamped below this value so reciprocal-weighted
@@ -90,11 +90,9 @@ def sample_preferences(rng: RngStream, alpha, batch_size: int) -> np.ndarray:
 
     prefs = rng.gamma(alpha, (batch_size, alpha.size))
     totals = prefs.sum(axis=1)
-    empty = ~(totals > 0.0)
-    while empty.any():
+    while (empty := totals == 0.0).any():
         prefs[empty] = rng.gamma(alpha, (int(empty.sum()), alpha.size))
         totals[empty] = prefs[empty].sum(axis=1)
-        empty = ~(totals > 0.0)
     prefs /= totals[:, None]
     np.maximum(prefs, MIN_PREFERENCE, out=prefs)
     prefs /= prefs.sum(axis=1, keepdims=True)

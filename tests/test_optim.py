@@ -106,7 +106,7 @@ class TestAdam:
         assert np.array_equal(params, reference)
 
     def test_folded_update_tracks_textbook_formula(self):
-        # 400 steps pass t ~ 350, where 1 - beta1^t rounds to exactly 1.
+        # From t = 356 on, 1 - beta1^t rounds to exactly 1; 400 steps go past it.
         # Gradient scales down to 1e-10 put sqrt(v_hat) below epsilon, so
         # the folded epsilon_hat matters as much as the folded step size.
         rng = RngStream(5)

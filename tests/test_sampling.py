@@ -14,6 +14,19 @@ from copsl.sampling import (
 )
 
 
+class RecordingStream(RngStream):
+    """A stream that keeps a copy of every gamma block it hands out."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.blocks = []
+
+    def gamma(self, shape, size=None):
+        block = super().gamma(shape, size)
+        self.blocks.append(block.copy())
+        return block
+
+
 class TestRngStream:
     def test_named_algorithm(self):
         assert RngStream(0).algorithm == RNG_ALGORITHM
@@ -101,17 +114,22 @@ class TestPreferences:
     def test_rows_of_underflowed_draws_are_redrawn(self):
         # At alpha = 1e-3 about half of all gamma draws underflow to 0, so a
         # batch of 64 two-entry rows almost surely needs a second draw.
-        blocks = []
-
-        class RecordingStream(RngStream):
-            def gamma(self, shape, size=None):
-                blocks.append(size)
-                return super().gamma(shape, size)
-
-        prefs = sample_preferences(RecordingStream(7), (1e-3, 1e-3), 64)
-        assert blocks[0] == (64, 2) and len(blocks) > 1
+        rng = RecordingStream(7)
+        prefs = sample_preferences(rng, (1e-3, 1e-3), 64)
+        assert rng.blocks[0].shape == (64, 2) and len(rng.blocks) > 1
         assert prefs.min() >= MIN_PREFERENCE
         assert np.abs(prefs.sum(axis=1) - 1.0).max() <= 1e-9
+
+    def test_block_normalization_matches_per_row_loop(self):
+        # The row-by-row normalize, clamp, renormalize, re-clamp, applied to
+        # the same gamma draws, gives the same bits.
+        rng = RecordingStream(8)
+        prefs = sample_preferences(rng, (0.05, 1.0, 3.0), 500)
+        (draws,) = rng.blocks
+        for row, out in zip(draws, prefs):
+            row = np.maximum(row / row.sum(), MIN_PREFERENCE)
+            row /= row.sum()
+            assert np.array_equal(np.maximum(row, MIN_PREFERENCE), out)
 
 
 @settings(max_examples=200, deadline=None)
