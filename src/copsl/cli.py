@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigurationError, CopslError, InputError, UnsupportedError
 from .metrics import hypervolume, read_front_csv, write_front_csv
 from .model import load_checkpoint
-from .problems import suite_from_spec
+from .problems import BUILTIN_SUITES, suite_from_spec
 from .sampling import uniform_preference_grid
 from .trainer import (
     CONFIG_VERSION,
@@ -96,13 +96,14 @@ def cmd_ablate(args) -> int:
 
 def cmd_front(args) -> int:
     model, metadata = load_checkpoint(args.checkpoint)
-    suite_spec = args.suite if args.suite else metadata.get("suite")
-    if suite_spec is None:
-        raise ConfigurationError(
-            "checkpoint carries no suite metadata; pass --suite explicitly"
-        )
-    if isinstance(suite_spec, str) and "," in suite_spec:
-        suite_spec = [s.strip() for s in suite_spec.split(",")]
+    if args.suite is None:
+        suite_spec = metadata.get("suite")
+        if suite_spec is None:
+            raise ConfigurationError("checkpoint carries no suite metadata; pass --suite explicitly")
+    elif args.suite in BUILTIN_SUITES:
+        suite_spec = args.suite
+    else:
+        suite_spec = [name.strip() for name in args.suite.split(",")]
     suite = suite_from_spec(suite_spec)
     if suite.num_objectives != model.arch.num_objectives:
         raise ConfigurationError(
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     front.add_argument("--checkpoint", required=True)
     front.add_argument("--grid", type=int, default=100, help="preference grid size")
     front.add_argument("--out", required=True, help="output CSV (suffixed per problem)")
-    front.add_argument("--suite", help="suite name or comma-separated problem names")
+    front.add_argument("--suite", help="suite name, or one or more comma-separated problem names")
     front.set_defaults(func=cmd_front)
 
     hv = sub.add_parser("hv", help="hypervolume of a front CSV")

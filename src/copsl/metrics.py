@@ -7,21 +7,25 @@ reference point that is not finite.
 
 Costs for N points: ``nondominated_filter`` sorts lexicographically and
 sweeps (Kung, Luccio & Preparata 1975), O(N log N) for two objectives and at
-worst O(N^2) for three; it rejects four or more. ``hv_2d`` filters, sorts and
-adds one rectangle per step. ``hv_3d`` sweeps the front by f3, entering each
-point into a 2-d staircase whose rectangles and their running sums it keeps:
-an entering point changes two rectangles and the sums to their right, which
-one C-level fold (``itertools.accumulate``) recomputes, and each slab adds
-its thickness times the last sum. The worst case stays O(N^2), in that fold.
+worst O(N^2) for three; it rejects four or more. The hypervolumes run the
+same sweeps without the filter, skipping each point an earlier one weakly
+dominates. ``hv_2d`` sorts and adds one rectangle per step. ``hv_3d`` sweeps
+by f3, entering each point into a 2-d staircase whose rectangles and their
+running sums it keeps: an entering point changes two rectangles and the sums
+to their right, which one C-level fold (``itertools.accumulate``) recomputes,
+and each slab adds its thickness times the last sum. The worst case stays
+O(N^2), in that fold.
 
 The bitwise contract: the filter returns what the O(N^2) pairwise definition
 returns, the undominated rows in input order with duplicates collapsed to
 their first occurrence by bytes (so ``-0.0`` and ``0.0`` rows both stay). The
-hypervolumes equal, bit for bit, the plain sweeps that add one rectangle at a
-time, ``hv_3d`` one ``hv_2d`` per f3 level; the tests hold both as oracles.
-``hv_2d``, ``hv_3d`` and ``hypervolume`` clip and filter whatever they are
-given; ``filtered_hypervolume`` scores what ``nondominated_filter`` returned
-without filtering it again, with the same bits.
+hypervolumes equal, bit for bit, the plain sweeps over the filtered set that
+add one rectangle at a time, ``hv_3d`` one ``hv_2d`` per f3 level; the tests
+hold both as oracles. The bits agree because the points the sweeps skip are
+dominated rows, repeats, and the second of two rows equal but for a signed
+zero, whose rectangle is a signed zero and leaves a nonnegative left fold
+unchanged. A dominated point enters the 3-d staircase only ahead of its
+dominator at the same f3, which replaces it before any slab is added.
 """
 
 from __future__ import annotations
@@ -130,16 +134,27 @@ def _staircase_area(f1: np.ndarray, f2: np.ndarray, ref: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
-def _sweep_2d(front: np.ndarray, ref: np.ndarray) -> float:
-    """Hypervolume of a nonempty 2-d front without duplicate rows, strictly
-    below ``ref``."""
-    front = front[np.argsort(front[:, 0], kind="stable")]
+def hv_2d(points, reference) -> float:
+    """Exact hypervolume of a 2-d point set against a reference point.
+
+    Points not strictly below the reference in both objectives are clipped
+    out; an empty remainder has hypervolume 0. In lexicographic order a row
+    is on the front exactly when its f2 is below every earlier row's.
+    """
+    pts = _as_points(points, dim=2)
+    ref = _as_reference(reference, 2)
+    pts = pts[(pts < ref).all(axis=1)]
+    if not len(pts):
+        return 0.0
+    pts = pts[np.lexsort(pts.T[::-1])]
+    below = np.concatenate(([np.inf], np.minimum.accumulate(pts[:-1, 1])))
+    front = pts[pts[:, 1] < below]
     return _staircase_area(front[:, 0], front[:, 1], ref)
 
 
-def _sweep_3d(front: np.ndarray, ref: np.ndarray) -> float:
-    """Hypervolume of a nonempty 3-d front without duplicate rows, strictly
-    below ``ref``, by a sweep over f3.
+def hv_3d(points, reference) -> float:
+    """Exact hypervolume of a 3-d point set against a reference point,
+    clipped as :func:`hv_2d` clips, by a sweep over f3.
 
     Between consecutive f3 levels the dominated cross-section is constant:
     the area of the (f1, f2) staircase of the points seen so far, each slab
@@ -147,53 +162,41 @@ def _sweep_3d(front: np.ndarray, ref: np.ndarray) -> float:
     ``(r0 - xs[j]) * (ys[j - 1] - ys[j])`` (``r1`` for ``ys[-1]``) and
     ``sums[j]`` the left fold of ``terms[:j]``, so ``sums[-1]`` is the area
     bit for bit as :func:`_staircase_area` adds it. A point entering at i
-    changes only terms i and i + 1, and the sums after i.
+    changes only terms i and i + 1, and the sums after i. Slabs run between
+    the levels of points that enter: a point the staircase covers is
+    dominated or repeated and changes no cross-section.
     """
-    front = front[np.argsort(front[:, 2], kind="stable")]
-    levels = front[:, 2].tolist() + [float(ref[2])]
+    pts = _as_points(points, dim=3)
+    ref = _as_reference(reference, 3)
+    pts = pts[(pts < ref).all(axis=1)]
+    pts = pts[np.argsort(pts[:, 2], kind="stable")]
     r0, r1 = float(ref[0]), float(ref[1])
     xs: list[float] = []
     ys: list[float] = []
     terms: list[float] = []
     sums = [0.0]
     volume = 0.0
-    for k, (x, y) in enumerate(front[:, :2].tolist()):
-        # A point equal to a step, even as -0.0 to 0.0, would only add a
-        # zero-area rectangle to hv_2d's sum, so leaving it out keeps the bits.
+    # The level of the last point that entered; every clipped f3 is below
+    # the reference, so the first entry adds no slab.
+    level = top = float(ref[2])
+    for x, y, z in pts.tolist():
         i = _enter_staircase(xs, ys, x, y)
-        if i >= 0:
-            # It replaced the old steps i..end-1; the old step end is now i + 1.
-            end = len(terms) - len(xs) + i + 1
-            changed = [(r0 - x) * ((ys[i - 1] if i else r1) - y)]
-            if i + 1 < len(xs):
-                changed.append((r0 - xs[i + 1]) * (y - ys[i + 1]))
-            terms[i : end + 1] = changed
-            sums[i:] = accumulate(terms[i:], initial=sums[i])
-        thickness = levels[k + 1] - levels[k]
-        if thickness > 0.0:
-            volume += thickness * sums[-1]
+        if i < 0:
+            continue
+        # The slab up to z holds the staircase as it was before this point.
+        if z > level:
+            volume += (z - level) * sums[-1]
+        level = z
+        # It replaced the old steps i..end-1; the old step end is now i + 1.
+        end = len(terms) - len(xs) + i + 1
+        changed = [(r0 - x) * ((ys[i - 1] if i else r1) - y)]
+        if i + 1 < len(xs):
+            changed.append((r0 - xs[i + 1]) * (y - ys[i + 1]))
+        terms[i : end + 1] = changed
+        sums[i:] = accumulate(terms[i:], initial=sums[i])
+    if top > level:
+        volume += (top - level) * sums[-1]
     return volume
-
-
-def hv_2d(points, reference) -> float:
-    """Exact hypervolume of a 2-d point set against a reference point.
-
-    Points not strictly below the reference in both objectives are clipped
-    out; an empty remainder has hypervolume 0.
-    """
-    pts = _as_points(points, dim=2)
-    ref = _as_reference(reference, 2)
-    pts = pts[(pts < ref).all(axis=1)]
-    return _sweep_2d(nondominated_filter(pts), ref) if len(pts) else 0.0
-
-
-def hv_3d(points, reference) -> float:
-    """Exact hypervolume of a 3-d point set against a reference point,
-    clipped as :func:`hv_2d` clips."""
-    pts = _as_points(points, dim=3)
-    ref = _as_reference(reference, 3)
-    pts = pts[(pts < ref).all(axis=1)]
-    return _sweep_3d(nondominated_filter(pts), ref) if len(pts) else 0.0
 
 
 def hypervolume(points, reference) -> float:
@@ -206,25 +209,6 @@ def hypervolume(points, reference) -> float:
     if shape[0] == 3:
         return hv_3d(points, reference)
     raise UnsupportedError(f"exact hypervolume is implemented for 2 or 3 objectives, got {shape[0]}")
-
-
-_SWEEPS = {2: _sweep_2d, 3: _sweep_3d}
-
-
-def filtered_hypervolume(front: np.ndarray, reference) -> float:
-    """:func:`hypervolume` of what :func:`nondominated_filter` returned,
-    without filtering it again; the bits are the same.
-
-    The filter commutes with clipping row for row, since whatever dominates
-    a point strictly below the reference is itself strictly below it, and a
-    front holds no duplicate rows.
-    """
-    m = front.shape[1]
-    if m not in _SWEEPS:
-        raise UnsupportedError(f"exact hypervolume is implemented for 2 or 3 objectives, got {m}")
-    ref = _as_reference(reference, m)
-    front = front[(front < ref).all(axis=1)]
-    return _SWEEPS[m](front, ref) if len(front) else 0.0
 
 
 def log_hv_diff(hv_true: float, hv_learned: float) -> float:

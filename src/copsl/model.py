@@ -168,6 +168,8 @@ def _check_preferences(prefs: np.ndarray, num_objectives: int) -> np.ndarray:
     p = np.asarray(prefs, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != num_objectives:
         raise InputError(f"expected preferences of shape (batch, {num_objectives}), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise InputError("preference components must be finite")
     if (p < 0.0).any():
         raise InputError("preference components must be nonnegative")
     if np.abs(p.sum(axis=1) - 1.0).max() > SIMPLEX_TOLERANCE:
@@ -210,7 +212,7 @@ def predict(model: CoPslModel, preferences) -> list[np.ndarray]:
     Each layer's input is freed once the layer has run, so memory stays a
     few (batch, width) arrays instead of one per layer. For evaluation,
     where a caller's grid enters: it raises :class:`InputError` unless every
-    row lies on the simplex.
+    row is finite and lies on the simplex.
     """
     return _forward(model, _check_preferences(preferences, model.arch.num_objectives), None)
 
@@ -299,7 +301,7 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
     atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
 
 
-def load_checkpoint(path: str, expected_objectives: int | None = None) -> tuple[CoPslModel, dict]:
+def load_checkpoint(path: str) -> tuple[CoPslModel, dict]:
     """Read a checkpoint back; returns the model and the stored metadata.
 
     Raises :class:`CheckpointError`, naming the first offending layer, for a
@@ -327,10 +329,6 @@ def load_checkpoint(path: str, expected_objectives: int | None = None) -> tuple[
         arch = ModelArchitecture.from_dict(header["architecture"])
     except (KeyError, ConfigurationError) as exc:
         raise CheckpointError(f"checkpoint architecture is invalid: {exc}") from exc
-    if expected_objectives is not None and arch.num_objectives != expected_objectives:
-        raise CheckpointError(
-            f"checkpoint has {arch.num_objectives} objectives, expected {expected_objectives}"
-        )
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CheckpointError(f"checkpoint metadata must be a JSON object, got {metadata!r}")

@@ -130,8 +130,9 @@ class MopDefinition:
         if arr.ndim != 2 or arr.shape[1] != self.num_variables:
             raise InputError(f"{self.name}: expected an (N, {self.num_variables}) matrix of points, got shape {arr.shape}")
         tol = 1e-9 * np.maximum(1.0, np.abs(self.bounds.upper))
-        if (arr < self.bounds.lower - tol).any() or (arr > self.bounds.upper + tol).any():
-            raise InputError(f"{self.name}: point outside the box bounds")
+        # Written so that NaN, which fails every comparison, fails the check.
+        if not ((arr >= self.bounds.lower - tol) & (arr <= self.bounds.upper + tol)).all():
+            raise InputError(f"{self.name}: point not finite or outside the box bounds")
         return arr
 
     def evaluate(self, x) -> np.ndarray:
@@ -433,6 +434,7 @@ _REGISTRY: dict[str, MopDefinition] = {}
 
 SYNTHETIC_2D = ("zdt1", "zdt2", "zdt1-shifted", "zdt2-shifted", "zdt1-rotatedg", "zdt2-mixed")
 ENGINEERING_3D = tuple(_ENGINEERING_STUBS)
+BUILTIN_SUITES = {"synthetic-2d": SYNTHETIC_2D, "engineering-3d-stub": ENGINEERING_3D}
 
 
 def register_problem(problem: MopDefinition, replace_existing: bool = False) -> None:
@@ -482,13 +484,9 @@ def builtin_suite(name: str) -> ProblemSuite:
     ``engineering-3d-stub`` holds the five engineering design slots that
     require user-registered evaluators.
     """
-    if name == "synthetic-2d":
-        return ProblemSuite(name, tuple(get_problem(p) for p in SYNTHETIC_2D))
-    if name == "engineering-3d-stub":
-        return ProblemSuite(name, tuple(get_problem(p) for p in ENGINEERING_3D))
-    raise ConfigurationError(
-        f"unknown suite '{name}'; expected 'synthetic-2d' or 'engineering-3d-stub'"
-    )
+    if name not in BUILTIN_SUITES:
+        raise ConfigurationError(f"unknown suite '{name}'; expected {' or '.join(map(repr, BUILTIN_SUITES))}")
+    return ProblemSuite(name, tuple(get_problem(p) for p in BUILTIN_SUITES[name]))
 
 
 def suite_from_names(names, suite_name: str = "custom") -> ProblemSuite:

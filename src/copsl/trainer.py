@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CopslError, TrainingDivergedError
 from .ioutil import atomic_write_text
-from .metrics import csv_float, filtered_hypervolume, log_hv_diff, nondominated_filter
+from .metrics import csv_float, hypervolume, log_hv_diff, nondominated_filter
 from .model import (
     CoPslModel,
     ModelArchitecture,
@@ -270,7 +270,7 @@ def evaluate_model(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> 
     hypervolumes: list[float] = []
     log_diffs: list[Optional[float]] = []
     for mop, front in zip(suite.problems, fronts):
-        hv = filtered_hypervolume(front, mop.reference_point)
+        hv = hypervolume(front, mop.reference_point)
         hypervolumes.append(hv)
         if mop.front_hypervolume is not None:
             log_diffs.append(log_hv_diff(true_front_hv(mop, mop.reference_point), hv))

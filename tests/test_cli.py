@@ -207,6 +207,32 @@ class TestFront:
         )
         assert not list(tmp_path.glob("front*"))
 
+    def test_suite_may_name_one_problem(self, tmp_path, capsys):
+        checkpoint = str(tmp_path / "one.ckpt")
+        save_checkpoint(build_model(ModelArchitecture(2, (4,), 1, (6,)), RngStream(0)), checkpoint)
+        front_out = tmp_path / "front.csv"
+        assert main(["front", "--checkpoint", checkpoint, "--suite", "zdt1", "--grid", "7", "--out", str(front_out)]) == 0
+        assert capsys.readouterr().out == f"wrote {front_out}\n"
+        points, ref = read_front_csv(str(front_out))
+        assert 1 <= points.shape[0] <= 7
+        assert np.array_equal(ref, [1.1, 1.1])
+
+    @pytest.mark.parametrize(
+        "suite, message",
+        [
+            ("dtlz2", "suite has 3 objectives but the model expects 2"),
+            ("", "unknown problem ''"),
+            ("zdt1,", "unknown problem ''"),
+        ],
+    )
+    def test_suite_that_does_not_fit_the_model_exits_2(self, tmp_path, capsys, suite, message):
+        checkpoint = str(tmp_path / "one.ckpt")
+        save_checkpoint(build_model(ModelArchitecture(2, (4,), 1, (6,)), RngStream(0)), checkpoint, {"suite": ["zdt1"]})
+        front_out = tmp_path / "front.csv"
+        assert main(["front", "--checkpoint", checkpoint, "--suite", suite, "--out", str(front_out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not list(tmp_path.glob("front*"))
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["front", "--checkpoint", str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "f.csv")]) == 2
 

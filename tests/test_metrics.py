@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import copsl.metrics as metrics_mod
 from copsl.errors import InputError, UnsupportedError
 from copsl.metrics import (
     csv_float,
-    filtered_hypervolume,
     hv_2d,
     hv_3d,
     hypervolume,
@@ -129,7 +129,10 @@ class TestHypervolumeBits:
     @given(sets_with_reference(2))
     @example((np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]]), np.array([2.0, 2.0])))
     @example((np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([1.0, 1.0])))
+    @example((np.array([[0.1, 0.3], [0.6, 0.1], [0.1, 0.2]]), np.array([1.0, 1.0])))
     def test_hv_2d(self, case):
+        # The last example lists a dominated row before the front row of the
+        # same f1; a sort on f1 alone would keep it and change the bits.
         pts, ref = case
         assert same_bits(hv_2d(pts, ref), hv_2d_by_steps(pts, ref))
 
@@ -137,7 +140,12 @@ class TestHypervolumeBits:
     @given(sets_with_reference(3))
     @example((np.array([[0.0, 1.0, 0.5], [-0.0, 1.0, 0.5], [1.0, -0.0, 0.0], [1.0, 0.0, 1.0]]), np.full(3, 2.0)))
     @example((np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 0.25]]), np.array([1.0, 1.0, 1.0])))
+    @example((np.array([[0.3, 0.45, 0.1], [0.4, 0.5, 0.2], [0.8, 0.2, 0.5]]), np.array([1.0, 1.0, 1.0])))
+    @example((np.array([[0.6, 0.6, 0.5], [0.2, 0.9, 0.1], [0.5, 0.5, 0.5]]), np.array([1.0, 1.0, 1.0])))
     def test_hv_3d(self, case):
+        # The last two examples: a dominated point on its own f3 level between
+        # two front levels, where a slab split at its level changes the bits;
+        # and a dominated point listed before its dominator at the same f3.
         pts, ref = case
         assert same_bits(hv_3d(pts, ref), hv_3d_by_levels(pts, ref))
 
@@ -166,26 +174,28 @@ class TestHypervolumeBits:
 
 
 class TestFilteredHypervolume:
-    """``filtered_hypervolume`` of the filtered set is ``hypervolume`` of the set, bit for bit."""
+    """``hypervolume`` of the filtered set is ``hypervolume`` of the set, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3]).flatmap(sets_with_reference))
     @example((np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0])))
     @example((np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.5], [0.0, 1.0, 0.5]]), np.full(3, 2.0)))
     @example((np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 0.0]]), np.array([2.0, 2.0, 1.0])))
+    @example((np.array([[0.5, 0.5], [0.6, 0.6]]), np.array([1.0, 1.0])))
     def test_equals_hypervolume_of_the_unfiltered_set(self, case):
         # Examples: duplicates and signed zeros with points on the reference;
-        # ties in f3 (zero-thickness slabs); rows equal but for their zeros.
+        # ties in f3 (zero-thickness slabs); rows equal but for their zeros;
+        # a dominated point.
         pts, ref = case
-        assert same_bits(filtered_hypervolume(nondominated_filter(pts), ref), hypervolume(pts, ref))
+        assert same_bits(hypervolume(nondominated_filter(pts), ref), hypervolume(pts, ref))
 
     def test_rejects_nonfinite_reference(self):
         with pytest.raises(InputError, match="reference point must be finite"):
-            filtered_hypervolume(np.array([[0.5, 0.5, 0.5]]), (1.0, np.nan, 1.0))
+            hypervolume(np.array([[0.5, 0.5, 0.5]]), (1.0, np.nan, 1.0))
 
     def test_rejects_a_reference_of_another_length(self):
         with pytest.raises(InputError, match="reference point must have length 3"):
-            filtered_hypervolume(np.array([[0.5, 0.5, 0.5]]), (1.0, 1.0))
+            hv_3d(np.array([[0.5, 0.5, 0.5]]), (1.0, 1.0))
 
 
 class TestHypervolume:
@@ -199,6 +209,18 @@ class TestHypervolume:
         assert hypervolume([[0.0, 0.0, 0.0]], (1.0, 2.0, 3.0)) == 6.0
         with pytest.raises(UnsupportedError, match="got 4"):
             hypervolume([[0.0] * 4], (1.0,) * 4)
+
+    def test_a_dominated_point_adds_nothing(self):
+        assert hypervolume([[0.5, 0.5], [0.6, 0.6]], (1.0, 1.0)) == 0.25
+        assert hypervolume([[0.6, 0.6, 0.6], [0.5, 0.5, 0.5]], (1.0, 1.0, 1.0)) == 0.125
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_sweeps_without_the_dominance_filter(self, monkeypatch, m):
+        calls = []
+        monkeypatch.setattr(metrics_mod, "nondominated_filter", lambda points: calls.append(points))
+        pts = RngStream(44).random((50, m))
+        assert hypervolume(pts, np.full(m, 1.1)) > 0.0
+        assert calls == []
 
 
 class TestHv2d:

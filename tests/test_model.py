@@ -126,6 +126,12 @@ class TestForward:
         with pytest.raises(InputError, match="nonnegative"):
             predict(model, np.array([[-0.1, 1.1]]))
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.0], [-np.inf, 1.0]])
+    def test_rejects_nonfinite_rows(self, row):
+        model = build_model(ModelArchitecture(2, (8,), 1, (3,)), RngStream(7))
+        with pytest.raises(InputError, match="preference components must be finite"):
+            predict(model, np.array([[0.5, 0.5], row]))
+
     def test_single_head_equals_flat_network_bitwise(self):
         arch = ModelArchitecture(2, (16, 16), 2, (4,))
         model = build_model(arch, RngStream(8))
@@ -275,13 +281,6 @@ class TestCheckpoint:
         open(path, "wb").write(raw[:-16])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
-
-    def test_mismatched_objectives(self, tmp_path):
-        model = self.make_model()
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(model, path)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, expected_objectives=3)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -133,6 +133,14 @@ class TestBuiltinEvaluations:
             mop.evaluate(np.full((1, 6), 1.5))
 
     @pytest.mark.parametrize("method", ["evaluate", "jacobian"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_point_rejected(self, method, value):
+        x = np.full((2, 6), 0.5)
+        x[1, 3] = value
+        with pytest.raises(InputError, match="zdt1: point not finite or outside the box bounds"):
+            getattr(get_problem("zdt1"), method)(x)
+
+    @pytest.mark.parametrize("method", ["evaluate", "jacobian"])
     def test_single_point_rejected(self, method):
         mop = get_problem("zdt1")
         with pytest.raises(InputError, match=r"expected an \(N, 6\) matrix of points, got shape \(6,\)"):

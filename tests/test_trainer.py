@@ -311,10 +311,40 @@ class TestEvaluateModel:
         assert len(calls) == suite.num_mops
         assert report.hypervolumes == expected.hypervolumes
 
+    @pytest.mark.parametrize("names", [("zdt1", "zdt2"), ("dtlz2",)])
+    def test_scores_each_front_with_one_sweep(self, monkeypatch, names):
+        # Through the module-level sweeps, where a tracer wrapping
+        # metrics.hv_2d and metrics.hv_3d sees them.
+        suite = suite_from_names(list(names))
+        model, _ = train_copsl(tiny_config(suite=names, iterations=1), suite)
+        grid = uniform_preference_grid(suite.num_objectives, 15)
+        expected = evaluate_model(model, suite, grid)
+        calls = []
+
+        def counting(name):
+            sweep = getattr(metrics_mod, name)
+
+            def counted(points, reference):
+                calls.append(name)
+                return sweep(points, reference)
+
+            return counted
+
+        for name in ("hv_2d", "hv_3d"):
+            monkeypatch.setattr(metrics_mod, name, counting(name))
+        report = evaluate_model(model, suite, grid)
+        assert calls == ["hv_%dd" % suite.num_objectives] * suite.num_mops
+        assert report.hypervolumes == expected.hypervolumes
+
     def test_non_simplex_grid_rejected(self):
         model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
         with pytest.raises(InputError, match="preference rows must sum to 1"):
             evaluate_model(model, ZDT_PAIR, np.array([[0.7, 0.7]]))
+
+    def test_nonfinite_grid_rejected(self):
+        model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
+        with pytest.raises(InputError, match="preference components must be finite"):
+            evaluate_model(model, ZDT_PAIR, np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
     def test_suite_that_is_not_the_models_heads_rejected(self):
         model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
