@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigurationError, CopslError, InputError, UnsupportedError
 from .metrics import hypervolume, read_front_csv, write_front_csv
 from .model import load_checkpoint
-from .problems import BUILTIN_SUITES, suite_from_spec
+from .problems import suite_from_spec
 from .sampling import uniform_preference_grid
 from .trainer import (
     CONFIG_VERSION,
@@ -43,7 +43,7 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
     version = data.pop("config_version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:  # JSON true and 1.0 equal 1
         raise ConfigurationError(f"unsupported config_version {version!r}, expected {CONFIG_VERSION}")
     return RunConfig.from_dict(data)
 
@@ -96,14 +96,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_front(args) -> int:
     model, metadata = load_checkpoint(args.checkpoint)
-    if args.suite is None:
-        suite_spec = metadata.get("suite")
-        if suite_spec is None:
-            raise ConfigurationError("checkpoint carries no suite metadata; pass --suite explicitly")
-    elif args.suite in BUILTIN_SUITES:
-        suite_spec = args.suite
-    else:
-        suite_spec = [name.strip() for name in args.suite.split(",")]
+    suite_spec = metadata.get("suite") if args.suite is None else args.suite
+    if suite_spec is None:
+        raise ConfigurationError("checkpoint carries no suite metadata; pass --suite explicitly")
     suite = suite_from_spec(suite_spec)
     if suite.num_objectives != model.arch.num_objectives:
         raise ConfigurationError(

@@ -16,16 +16,16 @@ to their right, which one C-level fold (``itertools.accumulate``) recomputes,
 and each slab adds its thickness times the last sum. The worst case stays
 O(N^2), in that fold.
 
-The bitwise contract: the filter returns what the O(N^2) pairwise definition
-returns, the undominated rows in input order with duplicates collapsed to
-their first occurrence by bytes (so ``-0.0`` and ``0.0`` rows both stay). The
-hypervolumes equal, bit for bit, the plain sweeps over the filtered set that
-add one rectangle at a time, ``hv_3d`` one ``hv_2d`` per f3 level; the tests
-hold both as oracles. The bits agree because the points the sweeps skip are
-dominated rows, repeats, and the second of two rows equal but for a signed
-zero, whose rectangle is a signed zero and leaves a nonnegative left fold
-unchanged. A dominated point enters the 3-d staircase only ahead of its
-dominator at the same f3, which replaces it before any slab is added.
+One duplicate rule holds throughout: rows equal by value are one point,
+represented by the first of them, so a ``-0.0`` row and its ``0.0`` twin are
+one point. The filter returns what the O(N^2) pairwise definition returns,
+the undominated rows in input order with each set of equal rows collapsed to
+its first occurrence. The hypervolumes equal, bit for bit, the plain sweeps
+over the filtered set that add one rectangle at a time, ``hv_3d`` one
+``hv_2d`` per f3 level; the tests hold both as oracles. The bits agree
+because the points the sweeps skip are dominated rows and repeats. A
+dominated point enters the 3-d staircase only ahead of its dominator at the
+same f3, which replaces it before any slab is added.
 """
 
 from __future__ import annotations
@@ -65,48 +65,40 @@ def _as_reference(reference, dim: int) -> np.ndarray:
     return ref
 
 
-def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """The rows whose bytes were not seen earlier, in their input order."""
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first = np.unique(keys.ravel(), return_index=True)
-    return rows[np.sort(first)]
+def _front_2d(f2: np.ndarray) -> np.ndarray:
+    """Which rows of a lexicographically sorted 2-d set no earlier row weakly
+    dominates: those whose f2 is below every earlier row's f2."""
+    below = np.concatenate(([np.inf], np.minimum.accumulate(f2[:-1])))
+    return f2 < below
 
 
 def nondominated_filter(points) -> np.ndarray:
     """Keep exactly the points no other point dominates.
 
     Dominance is weak inequality everywhere plus strict inequality somewhere.
-    Duplicate rows survive dominance but collapse to their first occurrence
-    by bytes, so ``-0.0`` and ``0.0`` rows both stay. Survivors keep their
-    input order. Implemented for 1 to 3 objectives.
+    Rows equal by value survive dominance but collapse to their first
+    occurrence. Survivors keep their input order. Implemented for 1 to 3
+    objectives.
     """
     pts = _as_points(points)
     m = pts.shape[1]
     if m > 3:
         raise UnsupportedError(f"nondominated filtering is implemented for up to 3 objectives, got {m}")
-    # In lexicographic order a point's dominators are among the strictly
-    # smaller rows; equal rows, which do not dominate each other, form a group.
+    # In lexicographic order, stable among equal rows, a row's dominators and
+    # earlier equal rows all come before it.
     order = np.lexsort(pts.T[::-1])
     ranked = pts[order]
-    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
-    sizes = np.diff(np.append(starts, len(ranked)))
     if m == 1:
-        group_kept = np.arange(len(starts)) == 0
+        kept = order[:1]
     elif m == 2:
-        # Dominated exactly when some smaller row has f2 no larger.
-        f2 = ranked[starts, 1]
-        below = np.concatenate(([np.inf], np.minimum.accumulate(f2)[:-1]))
-        group_kept = f2 < below
+        kept = order[_front_2d(ranked[:, 1])]
     else:
-        # Kung, Luccio & Preparata's sweep: dominated exactly when the
-        # staircase of the smaller rows' (f2, f3) covers the row.
+        # Kung, Luccio & Preparata's sweep: a row goes exactly when the
+        # staircase of the earlier rows' (f2, f3) weakly covers it.
         xs: list[float] = []
         ys: list[float] = []
-        entered = [_enter_staircase(xs, ys, x, y) >= 0 for x, y in ranked[starts, 1:].tolist()]
-        group_kept = np.array(entered, dtype=bool)
-    keep = np.empty(len(pts), dtype=bool)
-    keep[order] = np.repeat(group_kept, sizes)
-    return _first_occurrences(pts[keep])
+        kept = order[[_enter_staircase(xs, ys, x, y) >= 0 for x, y in ranked[:, 1:].tolist()]]
+    return pts[np.sort(kept)]
 
 
 def _enter_staircase(xs: list[float], ys: list[float], x: float, y: float) -> int:
@@ -138,8 +130,7 @@ def hv_2d(points, reference) -> float:
     """Exact hypervolume of a 2-d point set against a reference point.
 
     Points not strictly below the reference in both objectives are clipped
-    out; an empty remainder has hypervolume 0. In lexicographic order a row
-    is on the front exactly when its f2 is below every earlier row's.
+    out; an empty remainder has hypervolume 0.
     """
     pts = _as_points(points, dim=2)
     ref = _as_reference(reference, 2)
@@ -147,8 +138,7 @@ def hv_2d(points, reference) -> float:
     if not len(pts):
         return 0.0
     pts = pts[np.lexsort(pts.T[::-1])]
-    below = np.concatenate(([np.inf], np.minimum.accumulate(pts[:-1, 1])))
-    front = pts[pts[:, 1] < below]
+    front = pts[_front_2d(pts[:, 1])]
     return _staircase_area(front[:, 0], front[:, 1], ref)
 
 

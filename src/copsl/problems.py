@@ -495,10 +495,19 @@ def suite_from_names(names, suite_name: str = "custom") -> ProblemSuite:
 
 
 def suite_from_spec(spec) -> ProblemSuite:
-    """The suite a config or a checkpoint names: a built-in suite's name, or
-    a list or tuple of registered problem names."""
+    """The suite a config, a checkpoint or ``copsl front --suite`` names: a
+    built-in suite's name, a string of one or more comma-separated problem
+    names, or a list or tuple of registered problem names."""
     if isinstance(spec, str):
-        return builtin_suite(spec)
+        if spec in BUILTIN_SUITES:
+            return builtin_suite(spec)
+        spec = [name.strip() for name in spec.split(",")]
+        unknown = [name for name in spec if name not in _REGISTRY]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown problem {unknown[0]!r}; a suite string names a built-in suite "
+                f"({' or '.join(map(repr, BUILTIN_SUITES))}) or registered problems {sorted(_REGISTRY)}"
+            )
     if isinstance(spec, (list, tuple)) and all(isinstance(name, str) for name in spec):
         return suite_from_names(spec)
     raise ConfigurationError(f"suite must be a suite name or a list of problem names, got {spec!r}")

@@ -58,9 +58,10 @@ def _is_int(value) -> bool:
 class RunConfig:
     """Everything a training run depends on, serializable as flat JSON.
 
-    ``suite`` is either a built-in suite name or a list of registered problem
-    names. ``eval_grid`` of 0 picks the default evaluation grid size (100
-    preferences for two objectives, a 105-point lattice for three).
+    ``suite`` is a built-in suite name, one or more comma-separated problem
+    names, or a list of registered problem names. ``eval_grid`` of 0 picks
+    the default evaluation grid size (100 preferences for two objectives, a
+    105-point lattice for three).
     """
 
     suite: object = "synthetic-2d"
@@ -87,7 +88,7 @@ class RunConfig:
 
     def __post_init__(self):
         if isinstance(self.suite, (list, tuple)):
-            object.__setattr__(self, "suite", tuple(str(s) for s in self.suite))
+            object.__setattr__(self, "suite", tuple(self.suite))
         if not all(_is_int(h) for h in self.hidden_sizes):
             raise ConfigurationError(f"hidden_sizes must be integers, got {list(self.hidden_sizes)}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))

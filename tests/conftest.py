@@ -71,7 +71,7 @@ def brute_force_nondominated(points: np.ndarray) -> np.ndarray:
     keep = []
     seen = set()
     for i in np.flatnonzero(~dominated):
-        key = points[i].tobytes()
+        key = tuple(points[i].tolist())
         if key in seen:
             continue
         seen.add(key)

@@ -87,6 +87,10 @@ class TestRun:
             ({"suite": {"zdt1": 1}}, "suite must be a suite name or a list of problem names, got {'zdt1': 1}"),
             ({"suite": "engineering-3d-stub"}, "problem 're31' is a stub; register an evaluator before use"),
             ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
+            ({"suite": [None]}, "suite must be a suite name or a list of problem names, got (None,)"),
+            ({"suite": [1, 2]}, "suite must be a suite name or a list of problem names, got (1, 2)"),
+            ({"config_version": True}, "unsupported config_version True, expected 1"),
+            ({"config_version": 1.0}, "unsupported config_version 1.0, expected 1"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
@@ -216,6 +220,16 @@ class TestFront:
         points, ref = read_front_csv(str(front_out))
         assert 1 <= points.shape[0] <= 7
         assert np.array_equal(ref, [1.1, 1.1])
+
+    def test_checkpoint_of_a_one_problem_suite_string(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", suite="zdt1")
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        front_out = tmp_path / "front.csv"
+        assert main(["front", "--checkpoint", str(out / "model_seed0.ckpt"), "--grid", "7", "--out", str(front_out)]) == 0
+        assert capsys.readouterr().out == f"wrote {front_out}\n"
+        assert [path.name for path in tmp_path.glob("front*")] == ["front.csv"]
 
     @pytest.mark.parametrize(
         "suite, message",

@@ -90,6 +90,20 @@ class TestNondominatedFilter:
         kept = nondominated_filter(np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]]))
         assert kept.shape[0] == 2
 
+    @pytest.mark.parametrize(
+        "pts, expected",
+        [
+            ([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, -0.0]]),
+            (
+                [[1.0, -0.0, 0.5], [0.5, 0.5, 0.5], [1.0, 0.0, 0.5], [-0.0, 1.0, 0.0]],
+                [[1.0, -0.0, 0.5], [0.5, 0.5, 0.5], [-0.0, 1.0, 0.0]],
+            ),
+        ],
+    )
+    def test_rows_equal_by_value_keep_the_first(self, pts, expected):
+        kept = nondominated_filter(np.array(pts))
+        assert kept.tobytes() == np.array(expected).tobytes()
+
     def test_weak_dominance_removes_equal_but_worse(self):
         kept = nondominated_filter(np.array([[1.0, 2.0], [1.0, 3.0]]))
         assert np.array_equal(kept, [[1.0, 2.0]])

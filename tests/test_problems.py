@@ -3,6 +3,7 @@ import pytest
 
 from copsl.errors import ConfigurationError, InputError, InternalError, UnsupportedError
 from copsl.problems import (
+    SYNTHETIC_2D,
     BoxBounds,
     ProblemSuite,
     builtin_suite,
@@ -12,6 +13,7 @@ from copsl.problems import (
     map_unit_to_box,
     register_evaluator,
     suite_from_names,
+    suite_from_spec,
     true_front_hv,
     unit_box,
 )
@@ -285,6 +287,22 @@ class TestSuites:
     def test_suite_from_names(self):
         suite = suite_from_names(["zdt1", "zdt2"])
         assert [p.name for p in suite.problems] == ["zdt1", "zdt2"]
+
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            ("synthetic-2d", SYNTHETIC_2D),
+            ("zdt1", ("zdt1",)),
+            ("zdt1, zdt2", ("zdt1", "zdt2")),
+            (["zdt2", "zdt1"], ("zdt2", "zdt1")),
+        ],
+    )
+    def test_suite_from_spec(self, spec, names):
+        assert tuple(p.name for p in suite_from_spec(spec).problems) == names
+
+    def test_unknown_suite_string_lists_the_builtin_suites(self):
+        with pytest.raises(ConfigurationError, match="unknown problem 'bogus'.*'synthetic-2d' or 'engineering-3d-stub'"):
+            suite_from_spec("bogus")
 
 
 class TestRegistry:
