@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,8 +286,9 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
     """Write a self-describing checkpoint.
 
     Layout: one JSON header line (format name, version, architecture,
-    optional metadata), then ``model.params`` as raw little-endian float64.
-    Refuses, with :class:`CheckpointError`, parameters that are not finite.
+    optional metadata), then ``model.params`` as raw little-endian float64,
+    written from the vector itself. Refuses, with :class:`CheckpointError`,
+    parameters that are not finite.
     """
     bad = nonfinite_layers(model.arch, model.params)
     if bad:
@@ -297,26 +299,30 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
         "architecture": model.arch.to_dict(),
         "metadata": metadata or {},
     }
-    body = model.params.astype("<f8", copy=False).tobytes()
-    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    atomic_write_bytes(path, header_line, model.params.astype("<f8", copy=False))
 
 
 def load_checkpoint(path: str) -> tuple[CoPslModel, dict]:
     """Read a checkpoint back; returns the model and the stored metadata.
 
-    Raises :class:`CheckpointError`, naming the first offending layer, for a
-    body that holds NaN or +-inf, and for metadata that is not a JSON object.
+    A body whose length matches the file's size is read straight into the
+    parameter vector. Raises :class:`CheckpointError`, naming the first offending
+    layer, for a body that holds NaN or +-inf, and for metadata that is not a JSON object.
     """
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            return _read_checkpoint(handle, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    newline = raw.find(b"\n")
-    if newline < 0:
+
+
+def _read_checkpoint(handle, path: str) -> tuple[CoPslModel, dict]:
+    line = handle.readline()
+    if not line.endswith(b"\n"):
         raise CheckpointError("checkpoint has no header line")
     try:
-        header = json.loads(raw[:newline].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint header is corrupt: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
@@ -333,15 +339,14 @@ def load_checkpoint(path: str) -> tuple[CoPslModel, dict]:
     if not isinstance(metadata, dict):
         raise CheckpointError(f"checkpoint metadata must be a JSON object, got {metadata!r}")
 
-    expected_bytes = 8 * _size(arch)
-    body_bytes = len(raw) - (newline + 1)
-    if body_bytes != expected_bytes:
-        raise CheckpointError(
-            f"checkpoint body has {body_bytes} bytes, expected {expected_bytes} (truncated or padded)"
-        )
-    # One owned, native-order copy of the body, scanned for NaN and +-inf by the model.
-    params = np.frombuffer(raw, dtype="<f8", offset=newline + 1).astype(np.float64)
+    size = _size(arch)
+    body_bytes = os.fstat(handle.fileno()).st_size - len(line)
+    if body_bytes == 8 * size:
+        params = np.empty(size, dtype="<f8")
+        body_bytes = handle.readinto(params)  # short only if the file shrank since fstat
+    if body_bytes != 8 * size:
+        raise CheckpointError(f"checkpoint body has {body_bytes} bytes, expected {8 * size} (truncated or padded)")
     try:
-        return CoPslModel(arch=arch, params=params), metadata
+        return CoPslModel(arch=arch, params=params.astype(np.float64, copy=False)), metadata
     except ConfigurationError as exc:
         raise CheckpointError(f"checkpoint {path!r} holds {exc}") from exc

@@ -21,13 +21,11 @@ ACTIVATIONS = ("relu", "sigmoid")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to stay overflow-free for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function: bit for bit 1 / (1 + exp(-z)) where z >= 0 and
+    exp(z) / (1 + exp(z)) elsewhere, so exp never overflows. ``np.minimum(z, -z)``
+    is -|z|, but keeps a NaN z itself, sign bit included, where ``-np.abs(z)`` flips it."""
+    e = np.exp(np.minimum(z, -z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
 
 
 @dataclass(frozen=True)

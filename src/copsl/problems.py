@@ -510,7 +510,8 @@ def suite_from_spec(spec) -> ProblemSuite:
             )
     if isinstance(spec, (list, tuple)) and all(isinstance(name, str) for name in spec):
         return suite_from_names(spec)
-    raise ConfigurationError(f"suite must be a suite name or a list of problem names, got {spec!r}")
+    shown = list(spec) if isinstance(spec, tuple) else spec  # the JSON list a config holds
+    raise ConfigurationError(f"suite must be a suite name or a list of problem names, got {shown!r}")
 
 
 def _register_builtins() -> None:

@@ -10,6 +10,7 @@ identical across architecture variants trained with paired seeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -228,18 +229,24 @@ class RunRecord:
 
 @dataclass
 class EvalReport:
-    fronts: list[np.ndarray]
+    """Per problem: the grid's objective vectors, their scores, and ``fronts``, filtered on first read."""
+
+    objectives: list[np.ndarray]
     hypervolumes: list[float]
     log_diffs: list[Optional[float]]
+
+    @functools.cached_property
+    def fronts(self) -> list[np.ndarray]:
+        return [nondominated_filter(points) for points in self.objectives]
 
 
 def _default_grid_size(num_objectives: int) -> int:
     return 100 if num_objectives == 2 else 105
 
 
-def model_fronts(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> list[np.ndarray]:
-    """Push a deterministic preference grid through the model; returns the
-    nondominated front per problem, rows in grid order.
+def _grid_objectives(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> list[np.ndarray]:
+    """Push a deterministic preference grid through the model; returns each
+    problem's objective vectors, rows in grid order.
 
     The whole grid is one batch: a row's last bits depend on the batch it
     is computed in. Raises :class:`ConfigurationError` unless the suite's
@@ -253,31 +260,31 @@ def model_fronts(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> li
     for mop in suite.problems:
         if mop.reference_point is None:
             raise ConfigurationError(f"problem '{mop.name}' has no reference point")
-    fronts = []
-    for output, mop in zip(predict(model, grid), suite.problems):
-        fronts.append(nondominated_filter(mop.evaluate(map_unit_to_box(output, mop.bounds))))
-    return fronts
+    return [mop.evaluate(map_unit_to_box(x, mop.bounds)) for x, mop in zip(predict(model, grid), suite.problems)]
+
+
+def model_fronts(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> list[np.ndarray]:
+    """The nondominated rows of each problem's grid objective vectors, in grid
+    order: what ``copsl front`` writes and :attr:`EvalReport.fronts` holds."""
+    return [nondominated_filter(points) for points in _grid_objectives(model, suite, grid)]
 
 
 def evaluate_model(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> EvalReport:
-    """Score :func:`model_fronts`.
-
-    Returns the nondominated front per problem, its hypervolume against the
-    problem's reference point (each front filtered once, by
-    :func:`model_fronts`), and the log hypervolume gap to the true front
-    where a closed form exists (None otherwise).
-    """
-    fronts = model_fronts(model, suite, grid)
+    """Score each problem's grid objective vectors: their hypervolume against
+    the problem's reference point, and the log hypervolume gap to the true
+    front where a closed form exists (None otherwise). The sweeps skip
+    dominated points, so nothing is filtered until ``fronts`` is first read."""
+    objectives = _grid_objectives(model, suite, grid)
     hypervolumes: list[float] = []
     log_diffs: list[Optional[float]] = []
-    for mop, front in zip(suite.problems, fronts):
-        hv = hypervolume(front, mop.reference_point)
+    for mop, points in zip(suite.problems, objectives):
+        hv = hypervolume(points, mop.reference_point)
         hypervolumes.append(hv)
         if mop.front_hypervolume is not None:
             log_diffs.append(log_hv_diff(true_front_hv(mop, mop.reference_point), hv))
         else:
             log_diffs.append(None)
-    return EvalReport(fronts=fronts, hypervolumes=hypervolumes, log_diffs=log_diffs)
+    return EvalReport(objectives=objectives, hypervolumes=hypervolumes, log_diffs=log_diffs)
 
 
 def _param_digest(model: CoPslModel) -> str:

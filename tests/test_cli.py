@@ -87,8 +87,8 @@ class TestRun:
             ({"suite": {"zdt1": 1}}, "suite must be a suite name or a list of problem names, got {'zdt1': 1}"),
             ({"suite": "engineering-3d-stub"}, "problem 're31' is a stub; register an evaluator before use"),
             ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
-            ({"suite": [None]}, "suite must be a suite name or a list of problem names, got (None,)"),
-            ({"suite": [1, 2]}, "suite must be a suite name or a list of problem names, got (1, 2)"),
+            ({"suite": [None]}, "suite must be a suite name or a list of problem names, got [None]"),
+            ({"suite": [1, 2]}, "suite must be a suite name or a list of problem names, got [1, 2]"),
             ({"config_version": True}, "unsupported config_version True, expected 1"),
             ({"config_version": 1.0}, "unsupported config_version 1.0, expected 1"),
         ],
@@ -249,6 +249,32 @@ class TestFront:
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["front", "--checkpoint", str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "f.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda raw, n: raw[:-8], "checkpoint body has 328 bytes, expected 336 (truncated or padded)"),
+            (lambda raw, n: raw + bytes(8), "checkpoint body has 344 bytes, expected 336 (truncated or padded)"),
+            (lambda raw, n: raw[: n + 1], "checkpoint body has 0 bytes, expected 336 (truncated or padded)"),
+            (lambda raw, n: raw[:n], "checkpoint has no header line"),
+            (lambda raw, n: b"", "checkpoint has no header line"),
+            (
+                lambda raw, n: raw[:-8] + np.array(np.inf, dtype="<f8").tobytes(),
+                "checkpoint {path!r} holds non-finite parameters in head 0 layer 0",
+            ),
+        ],
+        ids=["truncated", "padded", "header-only", "no-newline", "empty", "non-finite"],
+    )
+    def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, damage, message):
+        checkpoint = str(tmp_path / "one.ckpt")
+        save_checkpoint(build_model(ModelArchitecture(2, (4,), 1, (6,)), RngStream(0)), checkpoint, {"suite": ["zdt1"]})
+        with open(checkpoint, "rb") as handle:
+            raw = handle.read()
+        with open(checkpoint, "wb") as handle:
+            handle.write(damage(raw, raw.index(b"\n")))
+        assert main(["front", "--checkpoint", checkpoint, "--out", str(tmp_path / "front.csv")]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(path=checkpoint) + "\n"
+        assert not list(tmp_path.glob("front*"))
 
     @pytest.mark.parametrize(
         "metadata, message",

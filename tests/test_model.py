@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -285,3 +288,39 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "nope.ckpt"))
+
+    def test_bytes_are_header_line_then_params(self, tmp_path):
+        model = self.make_model()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, path, metadata={"seed": 3})
+        header = {
+            "format": "copsl-checkpoint",
+            "version": 1,
+            "architecture": model.arch.to_dict(),
+            "metadata": {"seed": 3},
+        }
+        expected = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + model.params.astype("<f8").tobytes()
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+
+    def test_file_that_shrinks_after_its_size_is_read(self, tmp_path, monkeypatch):
+        # The body is checked against the file's size, then read: a read
+        # that comes up short is refused as a truncated body.
+        model = self.make_model()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, path)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(raw[:-16])
+        fstat = os.fstat
+
+        def stale(fd):
+            st = fstat(fd)
+            return os.stat_result((*st[:6], st.st_size + 16, *st[7:10]))
+
+        monkeypatch.setattr(os, "fstat", stale)
+        expected = 8 * model.params.size
+        message = rf"checkpoint body has {expected - 16} bytes, expected {expected} \(truncated or padded\)"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from copsl.errors import ConfigurationError
 from copsl.model import CoPslModel, ModelArchitecture, build_model, param_layout
-from copsl.nn import DenseLayer, layer_backward, layer_forward
+from copsl.nn import DenseLayer, _sigmoid, layer_backward, layer_forward
 from copsl.sampling import RngStream
 
 from conftest import central_difference, max_relative_error
@@ -74,6 +77,34 @@ class TestForward:
         assert np.array_equal(inputs, x)
         assert cached is out
         assert out[0, 0] == 1.0 / (1.0 + math.exp(-2.0))
+
+
+def two_branch_sigmoid(z):
+    """The reference: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z))
+    elsewhere (NaN included), each branch computed on its own rows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324, -5e-324, 745.2, -745.2]
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(max_dims=2, max_side=12),
+            elements=st.one_of(st.sampled_from(SPECIAL), st.floats(-1e308, 1e308), st.floats(-40.0, 40.0), st.floats()),
+        )
+    )
+    @example(np.array([SPECIAL, SPECIAL[::-1]]))
+    def test_equals_two_branch_form_bytewise(self, z):
+        assert _sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
 
 
 class TestBackward:

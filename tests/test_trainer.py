@@ -15,6 +15,7 @@ from copsl.trainer import (
     RunConfig,
     RunRecord,
     evaluate_model,
+    model_fronts,
     run_ablation,
     run_batch,
     train_copsl,
@@ -271,6 +272,20 @@ class TestTrainingLoop:
         assert before.total_loss != after.total_loss
 
 
+def count_filter_calls(monkeypatch) -> list[int]:
+    """Route every ``nondominated_filter`` call the trainer can make through a
+    counter; returns the list that records each call's point count."""
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return nondominated_filter(points)
+
+    monkeypatch.setattr(metrics_mod, "nondominated_filter", counted)
+    monkeypatch.setattr(trainer_mod, "nondominated_filter", counted)
+    return calls
+
+
 class TestEvaluateModel:
     def test_untrained_model_evaluates_cleanly(self):
         model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
@@ -295,21 +310,39 @@ class TestEvaluateModel:
 
     @pytest.mark.parametrize("names", [("zdt1", "zdt2"), ("dtlz2",)])
     def test_filters_each_front_once(self, monkeypatch, names):
+        # Scoring filters nothing; the fronts are filtered on their first
+        # read only, once per problem.
         suite = suite_from_names(list(names))
         model, _ = train_copsl(tiny_config(suite=names, iterations=1), suite)
         grid = uniform_preference_grid(suite.num_objectives, 15)
         expected = evaluate_model(model, suite, grid)
-        calls = []
-
-        def counted(points):
-            calls.append(len(points))
-            return nondominated_filter(points)
-
-        monkeypatch.setattr(metrics_mod, "nondominated_filter", counted)
-        monkeypatch.setattr(trainer_mod, "nondominated_filter", counted)
+        calls = count_filter_calls(monkeypatch)
         report = evaluate_model(model, suite, grid)
-        assert len(calls) == suite.num_mops
+        assert calls == []
         assert report.hypervolumes == expected.hypervolumes
+        fronts = report.fronts
+        assert calls == [grid.shape[0]] * suite.num_mops
+        assert report.fronts is fronts  # a second read filters nothing
+        assert len(calls) == suite.num_mops
+
+    @pytest.mark.parametrize("names", [("zdt1", "zdt2"), ("dtlz2",)])
+    def test_training_never_filters(self, monkeypatch, names):
+        suite = suite_from_names(list(names))
+        calls = count_filter_calls(monkeypatch)
+        _, record = train_copsl(tiny_config(suite=names, iterations=6, eval_interval=2), suite)
+        assert len(record.eval_steps) == 4
+        assert calls == []
+
+    @pytest.mark.parametrize("names", [("zdt1", "zdt2"), ("dtlz2",)])
+    def test_report_fronts_are_model_fronts(self, names):
+        suite = suite_from_names(list(names))
+        model, _ = train_copsl(tiny_config(suite=names, iterations=3), suite)
+        grid = uniform_preference_grid(suite.num_objectives, 40)
+        report = evaluate_model(model, suite, grid)
+        fronts = model_fronts(model, suite, grid)
+        assert len(report.fronts) == len(fronts) == suite.num_mops
+        for got, want in zip(report.fronts, fronts):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("names", [("zdt1", "zdt2"), ("dtlz2",)])
     def test_scores_each_front_with_one_sweep(self, monkeypatch, names):
