@@ -210,8 +210,9 @@ def forward_all(model: CoPslModel, preferences) -> tuple[list[np.ndarray], list[
 def predict(model: CoPslModel, preferences) -> list[np.ndarray]:
     """The outputs of :func:`forward_all`, bit for bit, without its caches.
 
-    Each layer's input is freed once the layer has run, so memory stays a
-    few (batch, width) arrays instead of one per layer. For evaluation,
+    Each layer's input is freed once the layer has run, and each rectified
+    layer's output is written over its own pre-activation, so memory stays
+    about two (batch, width) arrays instead of one per layer. For evaluation,
     where a caller's grid enters: it raises :class:`InputError` unless every
     row is finite and lies on the simplex.
     """

@@ -70,11 +70,15 @@ def layer_forward(layer: DenseLayer, params: np.ndarray, x: np.ndarray) -> tuple
 
     ``x`` has shape (batch, fan_in); returns the activated output of shape
     (batch, fan_out) plus the cache (inputs, output) that
-    :func:`layer_backward` needs.
+    :func:`layer_backward` needs. A rectified output is written over its
+    pre-activation, the product's own fresh array, with the same operations
+    per element as ``np.maximum(x @ W.T + b, 0.0)``; ``x`` and ``params``
+    are never written.
     """
     w, b = layer.views(params)
-    pre = x @ w.T + b
-    out = np.maximum(pre, 0.0) if layer.activation == "relu" else _sigmoid(pre)
+    pre = x @ w.T
+    pre += b
+    out = np.maximum(pre, 0.0, out=pre) if layer.activation == "relu" else _sigmoid(pre)
     return out, (x, out)
 
 

@@ -99,13 +99,14 @@ class RunConfig:
             )
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        self.validate()
-
-    def validate(self) -> None:
         for name in INT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a NumPy integer would not serialize as JSON
+        self.validate()
+
+    def validate(self) -> None:
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
@@ -462,6 +463,7 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
     suite = config.resolve_suite()
     config.check_suite(suite)
     seeded = [dataclasses.replace(config, seed=seed) for seed in seeds]  # validates every seed
+    seeds = [c.seed for c in seeded]  # as Python ints
     records: list[RunRecord] = []
     failures: list[dict] = []
     artifacts: list[str] = []
@@ -485,7 +487,7 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
             suite_spec = config.suite if isinstance(config.suite, str) else list(config.suite)
             save_checkpoint(model, paths["checkpoint"], metadata={"suite": suite_spec, "seed": seed})
             artifacts.extend(paths.values())
-    summary: dict = {"seeds": list(seeds), "records": records, "failures": failures, "artifacts": artifacts}
+    summary: dict = {"seeds": seeds, "records": records, "failures": failures, "artifacts": artifacts}
     if records:
         final_hv = np.array([r.hv[-1] for r in records])
         walls = np.array([r.wall_seconds for r in records])

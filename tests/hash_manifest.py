@@ -128,11 +128,13 @@ class Manifest:
         for name in sorted(os.listdir(root)) if os.path.isdir(root) else ():
             path = os.path.join(root, name)
             if name.startswith("run_seed") and name.endswith(".json"):
-                trace = json.load(open(path))["param_trace"]
+                with open(path) as handle:
+                    trace = json.load(handle)["param_trace"]
                 if trace is not None:
                     self.entries[f"{directory}/{name}:param_trace"] = sha256(json.dumps(trace).encode())
                 continue
-            self.entries[f"{directory}/{name}"] = sha256(open(path, "rb").read())
+            with open(path, "rb") as handle:
+                self.entries[f"{directory}/{name}"] = sha256(handle.read())
 
     def config(self, name: str, data: dict) -> str:
         path = os.path.join(self.work, f"{name}.json")

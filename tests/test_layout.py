@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def checkpoint_bytes(model, tmp_path_factory) -> tuple[str, bytes]:
     """Save ``model`` to a fresh file; returns its path and body."""
     path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
     save_checkpoint(model, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     return path, raw[raw.index(b"\n") + 1 :]
 
 
@@ -92,9 +93,9 @@ def test_checkpoint_body_is_params_and_round_trips(tmp_path_factory, arch, seed,
     value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     slot = next(s for s in param_layout(arch) if s.span.start <= index < s.span.stop)
     named = re.escape(slot.describe()) + "$"
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     offset = len(raw) - len(body) + 8 * index
-    open(path, "wb").write(raw[:offset] + np.array(value, dtype="<f8").tobytes() + raw[offset + 8 :])
+    Path(path).write_bytes(raw[:offset] + np.array(value, dtype="<f8").tobytes() + raw[offset + 8 :])
     with pytest.raises(CheckpointError, match=named):
         load_checkpoint(path)
     model.params[index] = value
@@ -107,9 +108,9 @@ def test_checkpoint_body_is_params_and_round_trips(tmp_path_factory, arch, seed,
 def test_truncated_or_padded_body_is_rejected(tmp_path_factory, arch, count, pad):
     model = build_model(arch, RngStream(0))
     path, body = checkpoint_bytes(model, tmp_path_factory)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     damaged = raw + b"\0" * count if pad else raw[: len(raw) - min(count, len(body))]
-    open(path, "wb").write(damaged)
+    Path(path).write_bytes(damaged)
     with pytest.raises(CheckpointError, match="truncated or padded"):
         load_checkpoint(path)
 

@@ -146,6 +146,18 @@ class TestForward:
             h, _ = layer_forward(layer, model.params, h)
         assert np.array_equal(outputs[0], h)
 
+    def test_predict_leaves_grid_unchanged_and_equals_forward_all_bitwise(self):
+        # Each layer writes its output over its own pre-activation, never
+        # over its input, so the caller's grid survives and predict's
+        # outputs are forward_all's, byte for byte.
+        model = build_model(ModelArchitecture(2, (16, 16), 1, (4, 5)), RngStream(10))
+        grid = simplex_batch(11, 2, 40)
+        before = grid.copy()
+        predicted = predict(model, grid)
+        assert grid.tobytes() == before.tobytes()
+        outputs, _ = forward_all(model, before)
+        assert [out.tobytes() for out in predicted] == [out.tobytes() for out in outputs]
+
 
 class TestBackwardRouting:
     def setup_method(self):
@@ -268,22 +280,21 @@ class TestCheckpoint:
 
     def test_corrupt_header_byte(self, tmp_path):
         model = self.make_model()
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(model, path)
-        raw = bytearray(open(path, "rb").read())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        raw = bytearray(path.read_bytes())
         raw[2] = 0xFF
-        open(path, "wb").write(bytes(raw))
+        path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load_checkpoint(str(path))
 
     def test_truncated_body(self, tmp_path):
         model = self.make_model()
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(model, path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-16])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load_checkpoint(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from copsl.errors import ConfigurationError
 from copsl.model import CoPslModel, ModelArchitecture, build_model, param_layout
-from copsl.nn import DenseLayer, _sigmoid, layer_backward, layer_forward
+from copsl.nn import ACTIVATIONS, DenseLayer, _sigmoid, layer_backward, layer_forward
 from copsl.sampling import RngStream
 
 from conftest import central_difference, max_relative_error
@@ -105,6 +105,31 @@ class TestSigmoid:
     @example(np.array([SPECIAL, SPECIAL[::-1]]))
     def test_equals_two_branch_form_bytewise(self, z):
         assert _sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+
+class TestInPlaceForward:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(ACTIVATIONS))
+    def test_equals_out_of_place_reference_bytewise(self, data, activation):
+        # The bias add and the rectifier write into the product's own array:
+        # the bytes equal the out-of-place reference, and neither the input
+        # nor the parameter vector is touched.
+        batch, fan_in, fan_out = (data.draw(st.integers(1, 6)) for _ in range(3))
+        elements = st.one_of(st.sampled_from(SPECIAL), st.floats(-4.0, 4.0))
+        weights = data.draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=elements))
+        biases = data.draw(hnp.arrays(np.float64, fan_out, elements=elements))
+        x = data.draw(hnp.arrays(np.float64, (batch, fan_in), elements=elements))
+        layer, params = make_layer(weights, biases, activation)
+        x_before, params_before = x.tobytes(), params.tobytes()
+        w, b = layer.views(params)
+        with np.errstate(all="ignore"):
+            pre = x @ w.T + b
+            expected = np.maximum(pre, 0.0) if activation == "relu" else _sigmoid(pre)
+            out, (inputs, cached) = layer_forward(layer, params, x)
+        assert out.tobytes() == expected.tobytes()
+        assert inputs is x and cached is out
+        assert x.tobytes() == x_before
+        assert params.tobytes() == params_before
 
 
 class TestBackward:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -406,17 +407,17 @@ class TestRecordFiles:
 
     def test_loss_csv_shape(self, tmp_path):
         _, rec = train_copsl(tiny_config(iterations=6), ZDT_PAIR)
-        path = str(tmp_path / "losses.csv")
-        write_loss_csv(rec, path)
-        lines = open(path).read().strip().split("\n")
+        path = tmp_path / "losses.csv"
+        write_loss_csv(rec, str(path))
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "iteration,total_loss,loss_1,loss_2"
         assert len(lines) == 7
 
     def test_eval_csv_shape(self, tmp_path):
         _, rec = train_copsl(tiny_config(iterations=6, eval_interval=3), ZDT_PAIR)
-        path = str(tmp_path / "eval.csv")
-        write_eval_csv(rec, path)
-        lines = open(path).read().strip().split("\n")
+        path = tmp_path / "eval.csv"
+        write_eval_csv(rec, str(path))
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "eval_step,hv_1,hv_2,log_hv_diff_1,log_hv_diff_2"
         assert len(lines) == 1 + len(rec.eval_steps)
 
@@ -490,6 +491,21 @@ class TestRunBatch:
         b = run_batch(cfg, seeds=(0, 1))
         assert a["mean_final_hv"] == b["mean_final_hv"]
         assert a["std_final_hv"] == b["std_final_hv"]
+
+    def test_numpy_integer_seeds_write_the_same_bytes(self, tmp_path):
+        # NumPy integers are stored as Python ints, so every artifact, the
+        # record's JSON included, serializes as it does for plain seeds.
+        cfg = tiny_config(iterations=3)
+        plain, numpy_seeds = tmp_path / "plain", tmp_path / "numpy"
+        run_batch(cfg, seeds=[0, 1], out_dir=str(plain))
+        summary = run_batch(cfg, seeds=np.arange(2), out_dir=str(numpy_seeds))
+        assert summary["seeds"] == [0, 1] and all(type(seed) is int for seed in summary["seeds"])
+        assert sorted(p.name for p in numpy_seeds.iterdir()) == sorted(p.name for p in plain.iterdir())
+        for path in plain.iterdir():
+            expected, actual = path.read_bytes(), (numpy_seeds / path.name).read_bytes()
+            if path.suffix == ".json":  # a record holds its wall-clock time
+                expected, actual = (json.loads(raw) | {"wall_seconds": 0.0} for raw in (expected, actual))
+            assert expected == actual, path.name
 
     def test_failure_is_recorded(self, nan_problem):
         cfg = tiny_config(suite=("zdt1", nan_problem))  # diverges at iteration 1
