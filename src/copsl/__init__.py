@@ -31,7 +31,6 @@ from .problems import (
     ProblemSuite,
     builtin_suite,
     get_problem,
-    register_evaluator,
     register_problem,
     suite_from_names,
     true_front_hv,
@@ -71,7 +70,6 @@ __all__ = [
     "load_checkpoint",
     "log_hv_diff",
     "nondominated_filter",
-    "register_evaluator",
     "register_problem",
     "run_ablation",
     "run_batch",

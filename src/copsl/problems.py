@@ -11,17 +11,15 @@ both, and g variants that shift the optimal tail values or couple adjacent
 tail variables. Minimizing g to 1 recovers the front f2 = h(f1), which makes
 hypervolumes against the front available analytically.
 
-Problems whose defining formulas live outside this package (the engineering
-design set re31/re32/re33/re34/re37) ship as named stubs carrying objective
-counts, variable counts, and reference points; their evaluators are supplied
-by the user through :func:`register_evaluator`.
+Any other problem joins through :func:`register_problem` of a complete
+:class:`MopDefinition`: one that carries its evaluator, its analytic
+Jacobian and its reference point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,19 +88,20 @@ class MopDefinition:
 
     ``evaluate_batch`` maps (N, n) decision matrices to (N, m) objective
     matrices; ``jacobian_batch`` maps them to (N, m, n) stacks of Jacobians.
+    ``reference_point`` (m,) is what hypervolumes are measured against. These
+    three are required, so a problem is complete once it is built.
     ``front_hypervolume`` (when present) returns the exact hypervolume of the
     true Pareto front for a given reference point, and ``front_points``
-    samples the front for plotting or oracle checks. A problem without an
-    evaluator is a stub awaiting :func:`register_evaluator`.
+    samples the front for plotting or oracle checks.
     """
 
     name: str
     num_objectives: int
     num_variables: int
     bounds: BoxBounds
-    reference_point: Optional[np.ndarray] = None
-    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jacobian_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    reference_point: np.ndarray
+    evaluate_batch: Callable[[np.ndarray], np.ndarray]
+    jacobian_batch: Callable[[np.ndarray], np.ndarray]
     front_hypervolume: Optional[Callable[[np.ndarray], float]] = None
     front_points: Optional[Callable[[int], np.ndarray]] = None
 
@@ -115,15 +114,20 @@ class MopDefinition:
             raise ConfigurationError(
                 f"bounds dimension {self.bounds.dimension} does not match n={self.num_variables}"
             )
-        if self.reference_point is not None:
-            ref = np.asarray(self.reference_point, dtype=np.float64)
-            if ref.shape != (self.num_objectives,):
-                raise ConfigurationError(f"reference point must have length {self.num_objectives}")
-            object.__setattr__(self, "reference_point", ref)
-
-    @property
-    def is_stub(self) -> bool:
-        return self.evaluate_batch is None
+        for field_name in ("evaluate_batch", "jacobian_batch"):
+            value = getattr(self, field_name)
+            if not callable(value):
+                raise ConfigurationError(f"problem '{self.name}': {field_name} must be callable, got {value!r}")
+        try:
+            ref = np.asarray(self.reference_point, dtype=np.float64)  # None becomes a 0-d NaN
+        except (TypeError, ValueError):  # not numbers, or a ragged list: fails the shape check
+            ref = np.empty(0)
+        if ref.shape != (self.num_objectives,):
+            raise ConfigurationError(
+                f"problem '{self.name}': reference point must have length {self.num_objectives}, "
+                f"got {self.reference_point!r}"
+            )
+        object.__setattr__(self, "reference_point", ref)
 
     def _prepare(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -137,14 +141,10 @@ class MopDefinition:
 
     def evaluate(self, x) -> np.ndarray:
         """Objective values, (N, m), at the rows of an (N, n) decision matrix."""
-        if self.evaluate_batch is None:
-            raise ConfigurationError(f"problem '{self.name}' is a stub; register an evaluator before use")
         return self.evaluate_batch(self._prepare(x))
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobians dF/dx, (N, m, n), at the rows of an (N, n) decision matrix."""
-        if self.jacobian_batch is None:
-            raise ConfigurationError(f"problem '{self.name}' has no Jacobian; register an evaluator first")
         return self.jacobian_batch(self._prepare(x))
 
 
@@ -179,7 +179,7 @@ class ProblemSuite:
 
 
 # ---------------------------------------------------------------------------
-# Finite differences (fallback Jacobian and independent check)
+# Finite differences (the independent check of analytic Jacobians)
 # ---------------------------------------------------------------------------
 
 
@@ -405,27 +405,6 @@ def _make_dtlz2(name: str = "dtlz2", num_variables: int = 6) -> MopDefinition:
     )
 
 
-# Engineering design problems: name -> (n, reference point). Their objective
-# formulas come from an external suite, so they ship as stubs.
-_ENGINEERING_STUBS = {
-    "re31": (3, (550.0, 9.9e6, 2.2e7)),
-    "re32": (4, (38.83, 1.9e4, 4.6e8)),
-    "re33": (4, (5.83, 3.43, 27.5)),
-    "re34": (5, (1865.0, 12.98, 0.32)),
-    "re37": (4, (1.08, 1.05, 1.08)),
-}
-
-
-def _make_stub(name: str, num_variables: int, reference) -> MopDefinition:
-    return MopDefinition(
-        name=name,
-        num_objectives=3,
-        num_variables=num_variables,
-        bounds=unit_box(num_variables),
-        reference_point=np.array(reference),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -433,11 +412,11 @@ def _make_stub(name: str, num_variables: int, reference) -> MopDefinition:
 _REGISTRY: dict[str, MopDefinition] = {}
 
 SYNTHETIC_2D = ("zdt1", "zdt2", "zdt1-shifted", "zdt2-shifted", "zdt1-rotatedg", "zdt2-mixed")
-ENGINEERING_3D = tuple(_ENGINEERING_STUBS)
-BUILTIN_SUITES = {"synthetic-2d": SYNTHETIC_2D, "engineering-3d-stub": ENGINEERING_3D}
+BUILTIN_SUITES = {"synthetic-2d": SYNTHETIC_2D}
 
 
 def register_problem(problem: MopDefinition, replace_existing: bool = False) -> None:
+    """Add a problem under its name, so suites and configs can name it."""
     if problem.name in _REGISTRY and not replace_existing:
         raise ConfigurationError(f"problem '{problem.name}' is already registered")
     _REGISTRY[problem.name] = problem
@@ -452,38 +431,9 @@ def get_problem(name: str) -> MopDefinition:
         ) from None
 
 
-def register_evaluator(
-    name: str,
-    evaluate_batch: Callable[[np.ndarray], np.ndarray],
-    jacobian_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    bounds: Optional[BoxBounds] = None,
-) -> MopDefinition:
-    """Attach an evaluator (and optionally a Jacobian and bounds) to a stub.
-
-    Without an analytic Jacobian, a central finite-difference fallback with
-    step 1e-6 * (1 + |x_j|) is installed.
-    """
-    base = get_problem(name)
-    if jacobian_batch is None:
-        jacobian_batch = partial(finite_difference_jacobian, evaluate_batch)
-
-    completed = replace(
-        base,
-        bounds=bounds if bounds is not None else base.bounds,
-        evaluate_batch=evaluate_batch,
-        jacobian_batch=jacobian_batch,
-    )
-    _REGISTRY[name] = completed
-    return completed
-
-
 def builtin_suite(name: str) -> ProblemSuite:
-    """Return one of the shipped suites.
-
-    ``synthetic-2d`` holds the six differentiable two-objective problems;
-    ``engineering-3d-stub`` holds the five engineering design slots that
-    require user-registered evaluators.
-    """
+    """Return one of the shipped suites: ``synthetic-2d`` holds the six
+    differentiable two-objective problems."""
     if name not in BUILTIN_SUITES:
         raise ConfigurationError(f"unknown suite '{name}'; expected {' or '.join(map(repr, BUILTIN_SUITES))}")
     return ProblemSuite(name, tuple(get_problem(p) for p in BUILTIN_SUITES[name]))
@@ -522,8 +472,6 @@ def _register_builtins() -> None:
     register_problem(_make_zdt_problem("zdt1-rotatedg", "convex", _g_coupled))
     register_problem(_make_zdt_problem("zdt2-mixed", "blend", _g_linear))
     register_problem(_make_dtlz2())
-    for stub_name, (n, ref) in _ENGINEERING_STUBS.items():
-        register_problem(_make_stub(stub_name, n, ref))
 
 
 _register_builtins()

@@ -49,10 +49,19 @@ CONFIG_VERSION = 1
 IDEAL_UPDATE_MODES = ("before-loss", "after-loss")
 
 INT_FIELDS = ("cosmos_sign", "iterations", "batch_size", "shared_depth", "seed", "eval_grid", "eval_interval")
+FLOAT_FIELDS = ("gamma", "epsilon", "learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon")
+
+# One rule per kind of scalar field: the abstract type its value must have,
+# a word for it, and the Python type it is stored as, since a NumPy scalar
+# such as float32 would not serialize as JSON.
+_SCALAR_FIELDS = {
+    **dict.fromkeys(INT_FIELDS, (numbers.Integral, "an integer", int)),
+    **dict.fromkeys(FLOAT_FIELDS, (numbers.Real, "a real number", float)),
+}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)  # bool subclasses int; no field takes one
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ class RunConfig:
     def __post_init__(self):
         if isinstance(self.suite, (list, tuple)):
             object.__setattr__(self, "suite", tuple(self.suite))
-        if not all(_is_int(h) for h in self.hidden_sizes):
+        if not all(_is_a(h, numbers.Integral) for h in self.hidden_sizes):
             raise ConfigurationError(f"hidden_sizes must be integers, got {list(self.hidden_sizes)}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if self.dirichlet_alpha is not None:
@@ -99,11 +108,11 @@ class RunConfig:
             )
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        for name in INT_FIELDS:
+        for name, (kind, noun, stored) in _SCALAR_FIELDS.items():
             value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a NumPy integer would not serialize as JSON
+            if not _is_a(value, kind):
+                raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
+            object.__setattr__(self, name, stored(value))
         self.validate()
 
     def validate(self) -> None:
@@ -136,14 +145,8 @@ class RunConfig:
         Returns the model architecture (which checks ``shared_depth`` against
         ``hidden_sizes``), the per-problem weights, the Dirichlet parameters
         and the evaluation grid; raises :class:`ConfigurationError` naming
-        the first mismatch, or a problem without an evaluator (a stub) or
-        without a Jacobian, which cannot be trained.
+        the first mismatch.
         """
-        for mop in suite.problems:
-            if mop.is_stub:
-                raise ConfigurationError(f"problem '{mop.name}' is a stub; register an evaluator before use")
-            if mop.jacobian_batch is None:
-                raise ConfigurationError(f"problem '{mop.name}' has no Jacobian; register an evaluator first")
         k, m = suite.num_mops, suite.num_objectives
         weights = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (k,):
@@ -221,12 +224,6 @@ class RunRecord:
     def save_json(self, path: str) -> None:
         atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
-    @classmethod
-    def from_json(cls, path: str) -> "RunRecord":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return cls(**data)
-
 
 @dataclass
 class EvalReport:
@@ -258,9 +255,6 @@ def _grid_objectives(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -
             f"suite '{suite.name}' has output_dims {list(suite.output_dims)} "
             f"but the model's heads have output_dims {list(model.arch.output_dims)}"
         )
-    for mop in suite.problems:
-        if mop.reference_point is None:
-            raise ConfigurationError(f"problem '{mop.name}' has no reference point")
     return [mop.evaluate(map_unit_to_box(x, mop.bounds)) for x, mop in zip(predict(model, grid), suite.problems)]
 
 

@@ -176,3 +176,11 @@ def nan_problem(monkeypatch):
     problem = dataclasses.replace(base, name="zdt1-nan", evaluate_batch=exploding)
     monkeypatch.setitem(problems_mod._REGISTRY, problem.name, problem)
     return problem.name
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """A copy of the problem registry for one test: whatever the test
+    registers, through :func:`copsl.register_problem` or otherwise, is gone
+    after it."""
+    monkeypatch.setattr(problems_mod, "_REGISTRY", dict(problems_mod._REGISTRY))

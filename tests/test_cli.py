@@ -11,6 +11,7 @@ import copsl
 from copsl.cli import main
 from copsl.metrics import read_front_csv, write_front_csv
 from copsl.model import ModelArchitecture, build_model, save_checkpoint
+from copsl.problems import BoxBounds, MopDefinition, jacobian_check, register_problem
 from copsl.sampling import RngStream
 from copsl.trainer import CONFIG_VERSION, RunConfig
 
@@ -85,7 +86,7 @@ class TestRun:
             ({"suite": 5}, "suite must be a suite name or a list of problem names, got 5"),
             ({"suite": None}, "suite must be a suite name or a list of problem names, got None"),
             ({"suite": {"zdt1": 1}}, "suite must be a suite name or a list of problem names, got {'zdt1': 1}"),
-            ({"suite": "engineering-3d-stub"}, "problem 're31' is a stub; register an evaluator before use"),
+            ({"learning_rate": True}, "learning_rate must be a real number, got True"),
             ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
             ({"suite": [None]}, "suite must be a suite name or a list of problem names, got [None]"),
             ({"suite": [1, 2]}, "suite must be a suite name or a list of problem names, got [1, 2]"),
@@ -152,7 +153,7 @@ class TestAblate:
     def test_bad_config_exits_2_before_any_variant(self, tmp_path, capsys):
         cases = [
             ({"weights": [1.0]}, "expected 2 MOP weights, got 1"),
-            ({"suite": "engineering-3d-stub"}, "problem 're31' is a stub; register an evaluator before use"),
+            ({"epsilon": True}, "epsilon must be a real number, got True"),
             ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
         ]
         for case, (overrides, message) in enumerate(cases):
@@ -290,6 +291,54 @@ class TestFront:
         assert main(["front", "--checkpoint", checkpoint, "--out", str(front_out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("front*"))
+
+
+def linear_front_problem() -> MopDefinition:
+    """f1 = x1 and f2 = (1 + x2^2)(1 - x1) on the unit square. The front is
+    f2 = 1 - f1, reached where x2 = 0, so against r >= (1, 1) its
+    hypervolume is r1 r2 - 1/2."""
+
+    def evaluate(x):
+        return np.column_stack([x[:, 0], (1.0 + x[:, 1] ** 2) * (1.0 - x[:, 0])])
+
+    def jacobian(x):
+        jac = np.zeros((x.shape[0], 2, 2))
+        jac[:, 0, 0] = 1.0
+        jac[:, 1, 0] = -(1.0 + x[:, 1] ** 2)
+        jac[:, 1, 1] = 2.0 * x[:, 1] * (1.0 - x[:, 0])
+        return jac
+
+    return MopDefinition(
+        name="linear-front",
+        num_objectives=2,
+        num_variables=2,
+        bounds=BoxBounds(np.zeros(2), np.ones(2)),
+        reference_point=np.array([1.1, 1.1]),
+        evaluate_batch=evaluate,
+        jacobian_batch=jacobian,
+        front_hypervolume=lambda ref: float(ref[0] * ref[1] - 0.5),
+    )
+
+
+class TestRegisteredProblem:
+    def test_run_front_and_hv(self, tmp_path, capsys, registry):
+        problem = linear_front_problem()
+        register_problem(problem)
+        assert jacobian_check(problem, 100, RngStream(23)) <= 1e-5
+        config = write_config(tmp_path / "c.json", suite=problem.name, iterations=20, eval_grid=9)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        record = json.loads((out / "run_seed0.json").read_text())
+        assert record["mop_names"] == [problem.name]
+        final_hv, final_gap = record["hv"][-1][0], record["log_hv_diff"][-1][0]
+        assert 0.0 < final_hv < 0.71 and final_gap is not None  # the closed form, 1.21 - 0.5, bounds it
+        front_out = tmp_path / "front.csv"
+        capsys.readouterr()
+        checkpoint = str(out / "model_seed0.ckpt")
+        assert main(["front", "--checkpoint", checkpoint, "--grid", "9", "--out", str(front_out)]) == 0
+        assert capsys.readouterr().out == f"wrote {front_out}\n"
+        assert main(["hv", "--front", str(front_out)]) == 0
+        assert capsys.readouterr().out == f"{final_hv:.12g}\n"
 
 
 class TestHv:

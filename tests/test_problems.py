@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from copsl.problems import (
     get_problem,
     jacobian_check,
     map_unit_to_box,
-    register_evaluator,
     suite_from_names,
     suite_from_spec,
     true_front_hv,
@@ -175,8 +176,6 @@ class TestJacobians:
         assert err <= 1e-5
 
     def test_detects_corrupted_jacobian(self):
-        from dataclasses import replace
-
         mop = get_problem("zdt1")
 
         def broken(x):
@@ -184,7 +183,7 @@ class TestJacobians:
             jac[:, 1, 0] *= 1.5
             return jac
 
-        corrupted = replace(mop, jacobian_batch=broken)
+        corrupted = dataclasses.replace(mop, jacobian_batch=broken)
         assert jacobian_check(corrupted, 50, RngStream(18)) > 1e-3
 
     def test_finite_difference_fallback_shape(self):
@@ -244,9 +243,10 @@ class TestFrontHypervolume:
         with pytest.raises(UnsupportedError):
             true_front_hv(get_problem("zdt1"), (0.5, 1.1))
 
-    def test_stub_has_no_front(self):
-        with pytest.raises(UnsupportedError):
-            true_front_hv(get_problem("re31"), (550.0, 9.9e6, 2.2e7))
+    def test_problem_without_closed_form_front(self):
+        frontless = dataclasses.replace(get_problem("zdt1"), name="frontless", front_hypervolume=None)
+        with pytest.raises(UnsupportedError, match="problem 'frontless' has no closed-form front"):
+            true_front_hv(frontless, (1.1, 1.1))
 
 
 class TestSuites:
@@ -256,25 +256,6 @@ class TestSuites:
         assert suite.num_objectives == 2
         assert all(p.num_variables == 6 for p in suite.problems)
         assert all(np.array_equal(p.reference_point, [1.1, 1.1]) for p in suite.problems)
-
-    def test_engineering_stub_suite(self):
-        suite = builtin_suite("engineering-3d-stub")
-        assert suite.num_mops == 5
-        assert suite.num_objectives == 3
-        refs = {p.name: tuple(p.reference_point) for p in suite.problems}
-        assert refs["re31"] == (550.0, 9.9e6, 2.2e7)
-        assert refs["re32"] == (38.83, 1.9e4, 4.6e8)
-        assert refs["re33"] == (5.83, 3.43, 27.5)
-        assert refs["re34"] == (1865.0, 12.98, 0.32)
-        assert refs["re37"] == (1.08, 1.05, 1.08)
-        dims = {p.name: p.num_variables for p in suite.problems}
-        assert dims == {"re31": 3, "re32": 4, "re33": 4, "re34": 5, "re37": 4}
-
-    def test_stub_evaluate_fails_clearly(self):
-        stub = get_problem("re33")
-        assert stub.is_stub
-        with pytest.raises(ConfigurationError, match="stub"):
-            stub.evaluate(np.full((1, 4), 0.5))
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigurationError):
@@ -301,36 +282,28 @@ class TestSuites:
         assert tuple(p.name for p in suite_from_spec(spec).problems) == names
 
     def test_unknown_suite_string_lists_the_builtin_suites(self):
-        with pytest.raises(ConfigurationError, match="unknown problem 'bogus'.*'synthetic-2d' or 'engineering-3d-stub'"):
+        with pytest.raises(ConfigurationError, match=r"unknown problem 'bogus'; a suite string names a built-in suite \('synthetic-2d'\)"):
             suite_from_spec("bogus")
 
 
 class TestRegistry:
-    def test_register_evaluator_with_fd_jacobian(self):
-        def parabola(x):
-            f1 = (x**2).sum(axis=1)
-            f2 = ((x - 0.7) ** 2).sum(axis=1)
-            return np.column_stack([f1, f2])
-
-        # Registering onto a stub completes it in place.
-        try:
-            completed = register_evaluator("re37", lambda x: np.column_stack(
-                [(x**2).sum(axis=1), ((x - 0.5) ** 2).sum(axis=1), x.sum(axis=1)]
-            ))
-            assert not completed.is_stub
-            point = np.full((1, 4), 0.25)
-            f = completed.evaluate(point)
-            assert f.shape == (1, 3)
-            jac = completed.jacobian(point)
-            assert jac.shape == (1, 3, 4)
-            numeric = finite_difference_jacobian(completed.evaluate_batch, point)
-            assert np.allclose(jac, numeric)
-        finally:
-            # Restore the stub so other tests see the pristine registry.
-            from copsl.problems import _ENGINEERING_STUBS, _make_stub, register_problem
-
-            n, ref = _ENGINEERING_STUBS["re37"]
-            register_problem(_make_stub("re37", n, ref), replace_existing=True)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("evaluate_batch", None, "evaluate_batch must be callable, got None"),
+            ("evaluate_batch", 3.0, "evaluate_batch must be callable, got 3.0"),
+            ("jacobian_batch", None, "jacobian_batch must be callable, got None"),
+            ("reference_point", None, "reference point must have length 2, got None"),
+            ("reference_point", (1.1, 1.1, 1.1), r"reference point must have length 2, got \(1.1, 1.1, 1.1\)"),
+            ("reference_point", "1.1,1.1", "reference point must have length 2, got '1.1,1.1'"),
+        ],
+        ids=["no-evaluator", "evaluator-not-callable", "no-jacobian", "no-reference", "long-reference", "text-reference"],
+    )
+    def test_incomplete_definition_rejected(self, field, value, message):
+        # Every problem is complete once built, so no later check is needed
+        # before training, evaluation or export.
+        with pytest.raises(ConfigurationError, match=f"^problem 'partial': {message}$"):
+            dataclasses.replace(get_problem("zdt1"), name="partial", **{field: value})
 
     def test_unknown_problem(self):
         with pytest.raises(ConfigurationError):
