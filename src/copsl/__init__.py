@@ -6,6 +6,7 @@ at once, alongside the single-problem baseline, exact hypervolume metrics,
 and a shared-depth ablation harness.
 """
 
+from .config import RunConfig
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -37,7 +38,7 @@ from .problems import (
 )
 from .sampling import RngStream, sample_preferences, uniform_preference_grid
 from .scalarize import IdealPointTracker, LossSpec
-from .trainer import RunConfig, RunRecord, evaluate_model, run_ablation, run_batch, train_copsl, train_psl
+from .trainer import RunRecord, evaluate_model, run_ablation, run_batch, train_copsl, train_psl
 
 __version__ = "0.1.0"
 

@@ -1,95 +1,58 @@
 """Command-line entry point: run, ablate, front, hv, defaults.
 
-Exit codes: 0 on full success, 1 when at least one training run failed, 2 on
-configuration or usage errors. All artifacts are written atomically.
+Each command parses its arguments and calls the library: a config file is
+read by :func:`copsl.config.load_config`, training and its series files are
+:mod:`copsl.trainer`'s. Exit codes: 0 on full success, 1 when at least one
+training run failed, 2 on configuration or usage errors. All artifacts are
+written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 import numpy as np
 
+from .config import RunConfig, default_config_json, load_config
 from .errors import CheckpointError, ConfigurationError, CopslError, InputError, UnsupportedError
 from .metrics import hypervolume, read_front_csv, write_front_csv
 from .model import load_checkpoint
 from .problems import suite_from_spec
 from .sampling import uniform_preference_grid
-from .trainer import (
-    CONFIG_VERSION,
-    RunConfig,
-    model_fronts,
-    run_ablation,
-    run_batch,
-    write_ablation_csv,
-)
+from .trainer import model_fronts, run_ablation, run_batch, write_ablation_csv
 
 OUT_DIR_ENV = "COPSL_OUT_DIR"
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a JSON config file with strict key checking."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError("config must be a JSON object")
-    version = data.pop("config_version", CONFIG_VERSION)
-    if type(version) is not int or version != CONFIG_VERSION:  # JSON true and 1.0 equal 1
-        raise ConfigurationError(f"unsupported config_version {version!r}, expected {CONFIG_VERSION}")
-    return RunConfig.from_dict(data)
-
-
-def default_config_json() -> str:
-    data = {"config_version": CONFIG_VERSION}
-    data.update(RunConfig().to_dict())
-    return json.dumps(data, indent=2, sort_keys=True)
-
-
-def _out_dir(args) -> str:
-    if args.out:
-        return args.out
-    return os.environ.get(OUT_DIR_ENV, "copsl-out")
+def _run_inputs(args) -> tuple[RunConfig, list[int], str]:
+    """The config, the seeds and the output directory, made if missing, of ``run`` or ``ablate``."""
+    config = load_config(args.config)
+    out_dir = args.out or os.environ.get(OUT_DIR_ENV, "copsl-out")
+    os.makedirs(out_dir, exist_ok=True)
+    return config, args.seed or [config.seed], out_dir
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
-    seeds = args.seed if args.seed else [config.seed]
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
+    config, seeds, out_dir = _run_inputs(args)
     summary = run_batch(config, seeds, out_dir=out_dir)
     for failure in summary["failures"]:
         print(f"seed {failure['seed']} failed: {failure['error']}", file=sys.stderr)
     if summary["records"]:
-        names = summary["mop_names"]
-        means = summary["mean_final_hv"]
-        stds = summary["std_final_hv"]
-        for name, mean, std in zip(names, means, stds):
+        for name, mean, std in zip(summary["mop_names"], summary["mean_final_hv"], summary["std_final_hv"]):
             print(f"{name}: final HV {mean:.6g} +- {std:.3g} over {len(summary['records'])} run(s)")
     return 1 if summary["failures"] else 0
 
 
 def cmd_ablate(args) -> int:
-    config = load_config(args.config)
-    seeds = args.seed if args.seed else [config.seed]
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
+    config, seeds, out_dir = _run_inputs(args)
     rows, failures = run_ablation(config, seeds=seeds)
     table_path = os.path.join(out_dir, "ablation.csv")
     write_ablation_csv(rows, table_path)
     for failure in failures:
-        print(
-            f"shared_depth {failure['shared_depth']} seed {failure['seed']} failed: {failure['error']}",
-            file=sys.stderr,
-        )
+        print("shared_depth {shared_depth} seed {seed} failed: {error}".format(**failure), file=sys.stderr)
     print(f"wrote {len(rows)} rows to {table_path}")
     return 1 if failures else 0
 
@@ -152,16 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="train with a config file across one or more seeds")
-    run.add_argument("--config", required=True, help="path to a JSON run config")
-    run.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
-    run.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./copsl-out)")
+    runs = argparse.ArgumentParser(add_help=False)  # what run and ablate both take
+    runs.add_argument("--config", required=True, help="path to a JSON run config")
+    runs.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
+    runs.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./copsl-out)")
+    run = sub.add_parser("run", parents=[runs], help="train with a config file across one or more seeds")
     run.set_defaults(func=cmd_run)
-
-    ablate = sub.add_parser("ablate", help="sweep every shared-depth variant")
-    ablate.add_argument("--config", required=True)
-    ablate.add_argument("--seed", type=int, action="append")
-    ablate.add_argument("--out")
+    ablate = sub.add_parser("ablate", parents=[runs], help="sweep every shared-depth variant")
     ablate.set_defaults(func=cmd_ablate)
 
     front = sub.add_parser("front", help="export per-problem fronts from a checkpoint")

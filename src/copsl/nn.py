@@ -73,11 +73,12 @@ def layer_forward(layer: DenseLayer, params: np.ndarray, x: np.ndarray) -> tuple
     :func:`layer_backward` needs. A rectified output is written over its
     pre-activation, the product's own fresh array, with the same operations
     per element as ``np.maximum(x @ W.T + b, 0.0)``; ``x`` and ``params``
-    are never written.
+    are never written. A one-element sum is made out of place, where NumPy's
+    in-place add would keep the bias's NaN rather than the product's.
     """
     w, b = layer.views(params)
     pre = x @ w.T
-    pre += b
+    pre = np.add(pre, b, out=pre if pre.size > 1 else None)
     out = np.maximum(pre, 0.0, out=pre) if layer.activation == "relu" else _sigmoid(pre)
     return out, (x, out)
 

@@ -5,6 +5,9 @@ state, and is strictly sequential, so a (config, seed) pair fully determines
 every recorded series. Initialization and preference sampling consume from
 separate substreams of the same seed, which keeps preference sequences
 identical across architecture variants trained with paired seeds.
+
+Here are the run record, the loop, the drivers for seeds and the ablation,
+and their CSV writers; the run config is :mod:`copsl.config`'s.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,12 +24,12 @@ from typing import Optional
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigurationError, CopslError, TrainingDivergedError
 from .ioutil import atomic_write_text
-from .metrics import csv_float, hypervolume, log_hv_diff, nondominated_filter
+from .metrics import CSV_FLOAT_FORMAT, hypervolume, log_hv_diff, nondominated_filter
 from .model import (
     CoPslModel,
-    ModelArchitecture,
     backward_all,
     build_model,
     count_flops,
@@ -40,164 +42,9 @@ from .model import (
 )
 from .nn import DenseLayer
 from .optim import adam_step, init_adam_state
-from .problems import MopDefinition, ProblemSuite, map_unit_to_box, suite_from_spec, true_front_hv
-from .sampling import RNG_ALGORITHM, RngStream, sample_preferences, uniform_preference_grid
-from .scalarize import IdealPointTracker, LossSpec, batch_loss, chain_to_decision, total_loss
-
-CONFIG_VERSION = 1
-
-IDEAL_UPDATE_MODES = ("before-loss", "after-loss")
-
-INT_FIELDS = ("cosmos_sign", "iterations", "batch_size", "shared_depth", "seed", "eval_grid", "eval_interval")
-FLOAT_FIELDS = ("gamma", "epsilon", "learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon")
-
-# One rule per kind of scalar field: the abstract type its value must have,
-# a word for it, and the Python type it is stored as, since a NumPy scalar
-# such as float32 would not serialize as JSON.
-_SCALAR_FIELDS = {
-    **dict.fromkeys(INT_FIELDS, (numbers.Integral, "an integer", int)),
-    **dict.fromkeys(FLOAT_FIELDS, (numbers.Real, "a real number", float)),
-}
-
-
-def _is_a(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)  # bool subclasses int; no field takes one
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a training run depends on, serializable as flat JSON.
-
-    ``suite`` is a built-in suite name, one or more comma-separated problem
-    names, or a list of registered problem names. ``eval_grid`` of 0 picks
-    the default evaluation grid size (100 preferences for two objectives, a
-    105-point lattice for three).
-    """
-
-    suite: object = "synthetic-2d"
-    loss: str = "tch"
-    gamma: float = 100.0
-    epsilon: float = 1e-3
-    cosmos_sign: int = -1
-    iterations: int = 500
-    batch_size: int = 15
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    dirichlet_alpha: Optional[tuple[float, ...]] = None
-    weights: Optional[tuple[float, ...]] = None
-    hidden_sizes: tuple[int, ...] = (256, 256)
-    shared_depth: int = 1
-    seed: int = 0
-    eval_grid: int = 0
-    eval_interval: int = 10
-    ideal_update: str = "before-loss"
-    strict_weight_gating: bool = False
-    trace_params: bool = False
-
-    def __post_init__(self):
-        if isinstance(self.suite, (list, tuple)):
-            object.__setattr__(self, "suite", tuple(self.suite))
-        if not all(_is_a(h, numbers.Integral) for h in self.hidden_sizes):
-            raise ConfigurationError(f"hidden_sizes must be integers, got {list(self.hidden_sizes)}")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if self.dirichlet_alpha is not None:
-            object.__setattr__(
-                self, "dirichlet_alpha", tuple(float(a) for a in self.dirichlet_alpha)
-            )
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        for name, (kind, noun, stored) in _SCALAR_FIELDS.items():
-            value = getattr(self, name)
-            if not _is_a(value, kind):
-                raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
-            object.__setattr__(self, name, stored(value))
-        self.validate()
-
-    def validate(self) -> None:
-        if self.iterations < 1:
-            raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigurationError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.adam_epsilon > 0.0:
-            raise ConfigurationError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
-        if self.eval_interval < 1:
-            raise ConfigurationError(f"eval_interval must be >= 1, got {self.eval_interval}")
-        if self.eval_grid < 0:
-            raise ConfigurationError(f"eval_grid must be >= 0, got {self.eval_grid}")
-        if self.ideal_update not in IDEAL_UPDATE_MODES:
-            raise ConfigurationError(
-                f"ideal_update must be one of {IDEAL_UPDATE_MODES}, got {self.ideal_update!r}"
-            )
-        self.loss_spec()  # validates loss kind and hyperparameters
-
-    def check_suite(self, suite: ProblemSuite) -> tuple[ModelArchitecture, np.ndarray, np.ndarray, np.ndarray]:
-        """Check the config against the problems it trains, before any training.
-
-        Returns the model architecture (which checks ``shared_depth`` against
-        ``hidden_sizes``), the per-problem weights, the Dirichlet parameters
-        and the evaluation grid; raises :class:`ConfigurationError` naming
-        the first mismatch.
-        """
-        k, m = suite.num_mops, suite.num_objectives
-        weights = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
-        if weights.shape != (k,):
-            raise ConfigurationError(f"expected {k} MOP weights, got {weights.shape[0]}")
-        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
-            raise ConfigurationError(f"MOP weights must be finite and nonnegative, got {weights.tolist()}")
-        alpha = np.ones(m) if self.dirichlet_alpha is None else np.asarray(self.dirichlet_alpha, dtype=np.float64)
-        if alpha.shape != (m,):
-            raise ConfigurationError(f"expected {m} Dirichlet parameters, got {alpha.shape[0]}")
-        if not (np.isfinite(alpha).all() and (alpha > 0.0).all()):
-            raise ConfigurationError(f"Dirichlet parameters must be finite and positive, got {alpha.tolist()}")
-        arch = ModelArchitecture(
-            num_objectives=m,
-            hidden_sizes=self.hidden_sizes,
-            shared_depth=self.shared_depth,
-            output_dims=suite.output_dims,
-        )
-        grid = uniform_preference_grid(m, self.eval_grid or _default_grid_size(m))
-        return arch, weights, alpha, grid
-
-    def loss_spec(self) -> LossSpec:
-        return LossSpec(
-            kind=self.loss,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            cosine_sign=self.cosmos_sign,
-        )
-
-    def resolve_suite(self) -> ProblemSuite:
-        return suite_from_spec(self.suite)
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        for key in ("suite", "hidden_sizes", "dirichlet_alpha", "weights"):
-            if isinstance(data[key], tuple):
-                data[key] = list(data[key])
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigurationError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {unknown}")
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed config: {exc}") from exc
-
+from .problems import MopDefinition, ProblemSuite, map_unit_to_box, true_front_hv
+from .sampling import RNG_ALGORITHM, RngStream, sample_preferences
+from .scalarize import IdealPointTracker, batch_loss, chain_to_decision, total_loss
 
 @dataclass
 class RunRecord:
@@ -236,10 +83,6 @@ class EvalReport:
     @functools.cached_property
     def fronts(self) -> list[np.ndarray]:
         return [nondominated_filter(points) for points in self.objectives]
-
-
-def _default_grid_size(num_objectives: int) -> int:
-    return 100 if num_objectives == 2 else 105
 
 
 def _grid_objectives(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -> list[np.ndarray]:
@@ -478,8 +321,7 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
             record.save_json(paths["record"])
             write_loss_csv(record, paths["losses"])
             write_eval_csv(record, paths["eval"])
-            suite_spec = config.suite if isinstance(config.suite, str) else list(config.suite)
-            save_checkpoint(model, paths["checkpoint"], metadata={"suite": suite_spec, "seed": seed})
+            save_checkpoint(model, paths["checkpoint"], metadata={"suite": record.config["suite"], "seed": seed})
             artifacts.extend(paths.values())
     summary: dict = {"seeds": seeds, "records": records, "failures": failures, "artifacts": artifacts}
     if records:
@@ -498,39 +340,29 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_FLOAT = "%" + CSV_FLOAT_FORMAT  # printf-style, the same digits as metrics.csv_float
+
+
+def _write_table(path: str, header: str, row_format: str, rows: list[tuple]) -> None:
+    """Write the header and one ``row_format`` line per row, with a None cell as nan."""
+    cells = tuple(math.nan if cell is None else cell for row in rows for cell in row)
+    atomic_write_text(path, header + "\n" + ((row_format + "\n") * len(rows)) % cells)
+
+
 def write_loss_csv(record: RunRecord, path: str) -> None:
     k = len(record.mop_names)
     header = "iteration,total_loss," + ",".join(f"loss_{i + 1}" for i in range(k))
-    lines = [header]
-    for t, (total, per_mop) in enumerate(zip(record.total_loss, record.mop_losses), start=1):
-        lines.append(f"{t},{csv_float(total)}," + ",".join(csv_float(v) for v in per_mop))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [(t, total, *per_mop) for t, (total, per_mop) in enumerate(zip(record.total_loss, record.mop_losses), 1)]
+    _write_table(path, header, ",".join(["%d"] + [_FLOAT] * (1 + k)), rows)
 
 
 def write_eval_csv(record: RunRecord, path: str) -> None:
     k = len(record.mop_names)
-    header = (
-        "eval_step,"
-        + ",".join(f"hv_{i + 1}" for i in range(k))
-        + ","
-        + ",".join(f"log_hv_diff_{i + 1}" for i in range(k))
-    )
-    lines = [header]
-    for step, hv_row, diff_row in zip(record.eval_steps, record.hv, record.log_hv_diff):
-        lines.append(
-            f"{step},"
-            + ",".join(csv_float(v) for v in hv_row)
-            + ","
-            + ",".join(csv_float(v) for v in diff_row)
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ",".join(["eval_step", *(f"hv_{i + 1}" for i in range(k)), *(f"log_hv_diff_{i + 1}" for i in range(k))])
+    rows = [(step, *hv, *diffs) for step, hv, diffs in zip(record.eval_steps, record.hv, record.log_hv_diff)]
+    _write_table(path, header, ",".join(["%d"] + [_FLOAT] * (2 * k)), rows)
 
 
 def write_ablation_csv(rows, path: str) -> None:
-    lines = ["shared_depth,seed,mop,hv,delta_hv,params"]
-    for row in rows:
-        lines.append(
-            f"{row['shared_depth']},{row['seed']},{row['mop']},"
-            f"{csv_float(row['hv'])},{csv_float(row['delta_hv'])},{row['params']}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cells = [(r["shared_depth"], r["seed"], r["mop"], r["hv"], r["delta_hv"], r["params"]) for r in rows]
+    _write_table(path, "shared_depth,seed,mop,hv,delta_hv,params", f"%d,%d,%s,{_FLOAT},{_FLOAT},%d", cells)

@@ -277,7 +277,7 @@ def test_criterion_7_ablation_harness(tmp_path):
     import json
 
     from copsl.cli import main
-    from copsl.trainer import CONFIG_VERSION
+    from copsl.config import CONFIG_VERSION
 
     config = {"config_version": CONFIG_VERSION}
     config.update(RunConfig().to_dict())

@@ -9,11 +9,11 @@ import pytest
 
 import copsl
 from copsl.cli import main
+from copsl.config import CONFIG_VERSION, RunConfig
 from copsl.metrics import read_front_csv, write_front_csv
 from copsl.model import ModelArchitecture, build_model, save_checkpoint
 from copsl.problems import BoxBounds, MopDefinition, jacobian_check, register_problem
 from copsl.sampling import RngStream
-from copsl.trainer import CONFIG_VERSION, RunConfig
 
 
 def write_config(path, **overrides):
@@ -76,7 +76,7 @@ class TestRun:
             ({"eval_interval": 2.5}, "eval_interval must be an integer, got 2.5"),
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
             ({"hidden_sizes": [8.5]}, "hidden_sizes must be integers, got [8.5]"),
-            ({"weights": ["x", 1.0]}, "malformed config: could not convert string to float: 'x'"),
+            ({"weights": ["x", 1.0]}, "weights must be a list of real numbers or null, got ['x', 1.0]"),
             ({"adam_beta1": 1.0}, "adam_beta1 must lie in [0, 1), got 1.0"),
             ({"adam_beta2": 1.5}, "adam_beta2 must lie in [0, 1), got 1.5"),
             ({"adam_epsilon": -1.0}, "adam_epsilon must be positive, got -1.0"),
@@ -92,6 +92,12 @@ class TestRun:
             ({"suite": [1, 2]}, "suite must be a suite name or a list of problem names, got [1, 2]"),
             ({"config_version": True}, "unsupported config_version True, expected 1"),
             ({"config_version": 1.0}, "unsupported config_version 1.0, expected 1"),
+            ({"trace_params": "false"}, "trace_params must be true or false, got 'false'"),
+            ({"strict_weight_gating": 0}, "strict_weight_gating must be true or false, got 0"),
+            ({"weights": "12"}, "weights must be a list of real numbers or null, got '12'"),
+            ({"dirichlet_alpha": [True, 2]}, "dirichlet_alpha must be a list of real numbers or null, got [True, 2]"),
+            ({"hidden_sizes": 5}, "hidden_sizes must be integers, got 5"),
+            ({"weights": 5}, "weights must be a list of real numbers or null, got 5"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
@@ -130,6 +136,17 @@ class TestRun:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", config]) == 0
         assert (tmp_path / "envout" / "run_seed0.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_help_documents_the_shared_arguments(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per argument
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    for documented in ("path to a JSON run config", "seed (repeatable)", "$COPSL_OUT_DIR"):
+        assert documented in text
 
 
 class TestAblate:

@@ -131,6 +131,19 @@ class TestInPlaceForward:
         assert x.tobytes() == x_before
         assert params.tobytes() == params_before
 
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_one_element_nan_sum_keeps_the_products_nan(self, activation):
+        # 0 * inf is a NaN with the sign bit set; NumPy's one-element
+        # in-place add would keep the bias's positive NaN instead.
+        layer, params = make_layer([[math.inf]], [math.nan], activation)
+        x = np.array([[0.0]])
+        w, b = layer.views(params)
+        with np.errstate(all="ignore"):
+            pre = x @ w.T + b
+            expected = np.maximum(pre, 0.0) if activation == "relu" else _sigmoid(pre)
+            out, _ = layer_forward(layer, params, x)
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestBackward:
     def test_dead_rectifier_unit(self):

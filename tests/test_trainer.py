@@ -3,14 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copsl.metrics as metrics_mod
 import copsl.trainer as trainer_mod
 from copsl.errors import ConfigurationError, InputError, TrainingDivergedError
-from copsl.metrics import nondominated_filter
+from copsl.metrics import csv_float, nondominated_filter
 from copsl.model import backward_all, count_params, param_layout
 from copsl.problems import ProblemSuite, get_problem, suite_from_names
 from copsl.sampling import uniform_preference_grid
+from copsl.scalarize import LOSS_KINDS
 from copsl.trainer import (
     RunConfig,
     evaluate_model,
@@ -41,6 +44,69 @@ def tiny_config(**overrides):
 
 
 ZDT_PAIR = suite_from_names(["zdt1", "zdt2"], "zdt-pair")
+
+# Each config field by the kind of value it takes: its valid values, each
+# possibly a NumPy scalar, and the Python type a stored value has.
+_INTEGER = st.integers(1, 2**62)
+_FRACTION = st.floats(0.01, 0.99)
+
+
+def _or_numpy(values, *numpy_types):
+    return st.one_of(values, *(values.map(t) for t in numpy_types))
+
+
+CONFIG_FIELDS = {
+    "suite": ("suite", st.sampled_from(["synthetic-2d", "zdt1,zdt2", ["zdt1"], ("zdt1", "dtlz2")]), None),
+    "loss": ("string", st.sampled_from(LOSS_KINDS), str),
+    "gamma": ("real", _or_numpy(st.floats(0.5, 1e3), np.float32, np.float64), float),
+    "epsilon": ("real", _or_numpy(st.floats(1e-6, 1.0), np.float32), float),
+    "cosmos_sign": ("integer", _or_numpy(st.sampled_from([-1, 1]), np.int8, np.int64), int),
+    "iterations": ("integer", _or_numpy(_INTEGER, np.uint64), int),
+    "batch_size": ("integer", _or_numpy(_INTEGER, np.int64), int),
+    "learning_rate": ("real", _or_numpy(st.floats(1e-6, 1.0), np.float32), float),
+    "adam_beta1": ("real", _or_numpy(_FRACTION, np.float32), float),
+    "adam_beta2": ("real", _or_numpy(_FRACTION, np.float64), float),
+    "adam_epsilon": ("real", _or_numpy(st.floats(1e-12, 1.0), np.float64), float),
+    "dirichlet_alpha": ("reals", st.none() | st.lists(_or_numpy(st.floats(0.1, 5.0), np.float32), max_size=3), float),
+    "weights": ("reals", st.none() | st.lists(_or_numpy(st.integers(0, 5), np.int32), max_size=3), float),
+    "hidden_sizes": ("integers", st.lists(_or_numpy(st.integers(1, 64), np.int64), max_size=3), int),
+    "shared_depth": ("integer", _or_numpy(st.integers(0, 3), np.int16), int),
+    "seed": ("integer", _or_numpy(st.integers(0, 2**63 - 1), np.int64), int),
+    "eval_grid": ("integer", _or_numpy(st.integers(0, 500), np.int32), int),
+    "eval_interval": ("integer", _or_numpy(_INTEGER, np.int64), int),
+    "ideal_update": ("string", st.sampled_from(["before-loss", "after-loss"]), str),
+    "strict_weight_gating": ("bool", _or_numpy(st.booleans(), np.bool_), bool),
+    "trace_params": ("bool", _or_numpy(st.booleans(), np.bool_), bool),
+}
+
+# Values of the wrong kind for each kind of field: a string, a bool, None, a
+# scalar where a list belongs, and a list with a bool or a string in it.
+_NUMBER = st.integers(-9, 9) | st.floats()
+_BAD_LIST = st.builds(
+    lambda number, bad, first: [bad, number] if first else [number, bad],
+    _NUMBER,
+    st.booleans() | st.text(max_size=3),
+    st.booleans(),
+)
+WRONG_KINDS = {
+    "integer": st.text() | st.booleans() | st.none() | st.floats() | _BAD_LIST,
+    "real": st.text() | st.booleans() | st.none() | _BAD_LIST,
+    "bool": st.text() | st.none() | _NUMBER | _BAD_LIST,
+    "string": st.booleans() | st.none() | _NUMBER | _BAD_LIST,
+    "integers": st.text() | st.booleans() | st.none() | _NUMBER | _BAD_LIST,
+    "reals": st.text() | st.booleans() | _NUMBER | _BAD_LIST,
+    "suite": st.booleans() | st.none() | _NUMBER | _BAD_LIST,
+}
+
+
+def assert_rejected_by_name(key, value):
+    """A config holding ``value`` at ``key`` raises ConfigurationError naming
+    the key, by the time its suite is built, and nothing else."""
+    data = tiny_config().to_dict()
+    data[key] = value
+    with pytest.raises(ConfigurationError) as caught:
+        RunConfig.from_dict(data).resolve_suite()
+    assert str(caught.value).startswith(f"{key} must be ")
 
 
 def assert_same_artifacts(expected_dir, actual_dir):
@@ -87,15 +153,38 @@ class TestConfig:
             ("learning_rate", True),
             ("epsilon", True),
             ("gamma", "x"),
+            ("trace_params", "false"),
+            ("strict_weight_gating", 0),
+            ("weights", "12"),
+            ("dirichlet_alpha", (True, 2)),
+            ("hidden_sizes", 5),
+            ("weights", 5),
         ],
     )
     def test_non_integer_fields_rejected(self, key, value):
-        # The real-valued fields follow the same rule: a value of the wrong
-        # kind, bool included, is rejected by name.
-        data = tiny_config().to_dict()
-        data[key] = value
-        with pytest.raises(ConfigurationError, match=f"{key} must be"):
-            RunConfig.from_dict(data)
+        # Hand-picked cases of the rule test_wrong_kind_rejected_by_name
+        # checks on generated values.
+        assert_rejected_by_name(key, value)
+
+    def test_every_field_has_a_kind(self):
+        assert list(CONFIG_FIELDS) == [f.name for f in dataclasses.fields(RunConfig)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(list(CONFIG_FIELDS)))
+    def test_wrong_kind_rejected_by_name(self, data, key):
+        assert_rejected_by_name(key, data.draw(WRONG_KINDS[CONFIG_FIELDS[key][0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({key: values for key, (_, values, _) in CONFIG_FIELDS.items()}))
+    def test_values_stored_as_python_types_and_round_trip(self, data):
+        cfg = RunConfig(**data)
+        for key, (kind, _, stored) in CONFIG_FIELDS.items():
+            value = getattr(cfg, key)
+            if kind in ("integers", "reals"):
+                assert value is None or (type(value) is tuple and all(type(v) is stored for v in value)), key
+            elif stored is not None:
+                assert type(value) is stored, key
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_float_fields_stored_as_python_floats(self):
         cfg = tiny_config(learning_rate=np.float32(1e-3), gamma=100, adam_beta1=np.float64(0.9))
@@ -410,6 +499,22 @@ class TestRecordFiles:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "eval_step,hv_1,hv_2,log_hv_diff_1,log_hv_diff_2"
         assert len(lines) == 1 + len(rec.eval_steps)
+
+    def test_eval_csv_writes_a_missing_gap_as_nan(self, tmp_path):
+        # Without a closed-form front a problem has no log HV gap; its cell
+        # reads as csv_float formats None.
+        frontless = dataclasses.replace(get_problem("zdt2"), name="frontless", front_hypervolume=None)
+        suite = ProblemSuite("mixed", (get_problem("zdt1"), frontless))
+        _, rec = train_copsl(tiny_config(iterations=2, eval_interval=2), suite)
+        path = tmp_path / "eval.csv"
+        write_eval_csv(rec, str(path))
+        expected = [
+            ",".join([str(step), *map(csv_float, hv), *map(csv_float, diffs)])
+            for step, hv, diffs in zip(rec.eval_steps, rec.hv, rec.log_hv_diff)
+        ]
+        assert [diffs[1] for diffs in rec.log_hv_diff] == [None, None]
+        assert path.read_text().splitlines()[1:] == expected
+        assert all(line.endswith(",nan") for line in expected)
 
 
 class TestAblation:
