@@ -63,11 +63,6 @@ def cmd_front(args) -> int:
     if suite_spec is None:
         raise ConfigurationError("checkpoint carries no suite metadata; pass --suite explicitly")
     suite = suite_from_spec(suite_spec)
-    if suite.num_objectives != model.arch.num_objectives:
-        raise ConfigurationError(
-            f"suite has {suite.num_objectives} objectives but the model expects "
-            f"{model.arch.num_objectives}"
-        )
     grid = uniform_preference_grid(suite.num_objectives, args.grid)
     fronts = model_fronts(model, suite, grid)
     stem, ext = os.path.splitext(args.out)

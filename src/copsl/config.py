@@ -38,6 +38,17 @@ def _list_of(test):
     return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
 
 
+def _real(value) -> bool:
+    """A number but not a bool, that a float can hold: ``float(10**400)`` overflows."""
+    if not _number(numbers.Real)(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _at_least(bound):
     return (f"be >= {bound}", lambda value: value >= bound)
 
@@ -47,7 +58,7 @@ def _at_least(bound):
 # ``store(value)``, a plain Python value, since a NumPy scalar would not
 # serialize as JSON. A range is (requirement, test) on the stored value.
 _INTEGER = ("be an integer", _number(numbers.Integral), int)
-_REAL = ("be a real number", _number(numbers.Real), float)
+_REAL = ("be a real number", _real, float)
 _BOOL = ("be true or false", lambda value: isinstance(value, (bool, np.bool_)), bool)
 _STRING = ("be a string", lambda value: isinstance(value, str), str)
 _INTEGERS = ("be integers", _list_of(_INTEGER[1]), lambda value: tuple(map(int, value)))
@@ -72,7 +83,7 @@ _RULES = {
     "learning_rate": (_REAL, ("be finite and positive", lambda value: 0.0 < value < math.inf)),
     "adam_beta1": (_REAL, _UNIT_INTERVAL),
     "adam_beta2": (_REAL, _UNIT_INTERVAL),
-    "adam_epsilon": (_REAL, ("be positive", lambda value: value > 0.0)),
+    "adam_epsilon": (_REAL, ("be finite and positive", lambda value: 0.0 < value < math.inf)),
     "dirichlet_alpha": (_OPTIONAL_REALS, None),
     "weights": (_OPTIONAL_REALS, None),
     "hidden_sizes": (_INTEGERS, None),

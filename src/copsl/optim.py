@@ -56,8 +56,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_
     textbook lr * m_hat / (sqrt(v_hat) + epsilon) in real arithmetic, but not
     bit for bit. The update is elementwise, so it runs over cache-sized
     chunks: the temporaries stay small and the result is the same, bit for
-    bit, as over the whole vector. The learning rate is the one
-    :meth:`RunConfig.validate` checked.
+    bit, as over the whole vector. The learning rate is one that the
+    ``learning_rate`` rule in ``copsl.config._RULES`` checked: finite and positive.
     """
     if grads.shape != params.shape:
         raise InternalError(f"gradient shape {grads.shape} does not match parameters {params.shape}")

@@ -158,6 +158,10 @@ class ProblemSuite:
     def __post_init__(self):
         if not self.problems:
             raise ConfigurationError("a problem suite cannot be empty")
+        names = [p.name for p in self.problems]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ConfigurationError(f"a problem suite cannot repeat a problem, got '{repeated[0]}' more than once")
         counts = {p.num_objectives for p in self.problems}
         if len(counts) != 1:
             raise ConfigurationError(

@@ -126,7 +126,7 @@ def chain_to_decision(objective_grads, jacobians, widths) -> np.ndarray:
 
     Computes (J_b^T g_b) * widths elementwise for every row b of (B, m)
     gradients and (B, m, n) Jacobians; the (n,) box widths are the diagonal
-    derivative of :func:`map_unit_to_box`.
+    derivative of :func:`copsl.problems.map_unit_to_box`.
     """
     g = np.asarray(objective_grads, dtype=np.float64)
     jac = np.asarray(jacobians, dtype=np.float64)

@@ -48,22 +48,20 @@ from .scalarize import IdealPointTracker, batch_loss, chain_to_decision, total_l
 
 @dataclass
 class RunRecord:
-    """Everything measured during one seeded run."""
+    """Everything measured during one seeded run: what is known at its start, then its series."""
 
     config: dict
     rng_algorithm: str
-    suite_name: str
     mop_names: list[str]
-    total_loss: list[float]
-    mop_losses: list[list[float]]
-    eval_steps: list[int]
-    hv: list[list[float]]
-    log_hv_diff: list[list[Optional[float]]]
-    wall_seconds: float
     param_count: int
     flops_per_batch: int
-    param_trace: Optional[list[str]] = None
-    notes: list[str] = field(default_factory=list)
+    param_trace: Optional[list[str]]
+    total_loss: list[float] = field(default_factory=list)
+    mop_losses: list[list[float]] = field(default_factory=list)
+    eval_steps: list[int] = field(default_factory=list)
+    hv: list[list[float]] = field(default_factory=list)
+    log_hv_diff: list[list[Optional[float]]] = field(default_factory=list)
+    wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -90,9 +88,14 @@ def _grid_objectives(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -
     problem's objective vectors, rows in grid order.
 
     The whole grid is one batch: a row's last bits depend on the batch it
-    is computed in. Raises :class:`ConfigurationError` unless the suite's
-    decision dimensions are the model's heads, in order.
+    is computed in. Raises :class:`ConfigurationError` unless the suite has
+    the model's objective count and its decision dimensions are the model's
+    heads, in order.
     """
+    if suite.num_objectives != model.arch.num_objectives:
+        raise ConfigurationError(
+            f"suite has {suite.num_objectives} objectives but the model expects {model.arch.num_objectives}"
+        )
     if suite.output_dims != model.arch.output_dims:
         raise ConfigurationError(
             f"suite '{suite.name}' has output_dims {list(suite.output_dims)} "
@@ -138,6 +141,10 @@ def _nonfinite_gradient_message(layers: list[DenseLayer], suite: ProblemSuite, i
     return f"non-finite gradient at iteration {iteration} in {', '.join(names)}"
 
 
+def _diverged(what: str, mop: MopDefinition, index: int, iteration: int) -> TrainingDivergedError:
+    return TrainingDivergedError(f"non-finite {what} for MOP '{mop.name}' (index {index}) at iteration {iteration}")
+
+
 def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tuple[CoPslModel, RunRecord]:
     """Train one model on every problem of the suite simultaneously.
 
@@ -148,43 +155,25 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
     """
     if suite is None:
         suite = config.resolve_suite()
-    m = suite.num_objectives
-    k = suite.num_mops
     arch, weights, alpha, grid = config.check_suite(suite)
-    init_rng = RngStream(config.seed, stream=0)
     pref_rng = RngStream(config.seed, stream=1)
-    model = build_model(arch, init_rng)
+    model = build_model(arch, RngStream(config.seed, stream=0))
     adam = init_adam_state(
         model.params, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
-    tracker = IdealPointTracker(k, m)
-    output_layers = {layer.mop: layer for layer in param_layout(arch)}  # the last layer of each head
+    tracker = IdealPointTracker(suite.num_mops, suite.num_objectives)
+    heads = [layer for layer in param_layout(arch) if layer.mop is not None]
+    output_layers = {layer.mop: layer for layer in heads}  # the last layer of each head
+    # Strict gating zeroes, every step, the gradient of each head whose problem weighs 0.
+    frozen = [layer.span for layer in heads if config.strict_weight_gating and weights[layer.mop] == 0.0]
     spec = config.loss_spec()
-
-    zero_weight = [i for i in range(k) if weights[i] == 0.0]
-    notes = []
-    if spec.kind == "cosmos":
-        notes.append(
-            f"cosmos cosine term sign={spec.cosine_sign:+d} "
-            f"({'subtracted, rewards alignment' if spec.cosine_sign < 0 else 'added'})"
-        )
-    notes.append(f"ideal point updated {config.ideal_update.replace('-', ' ')} each iteration")
-
     record = RunRecord(
         config=config.to_dict(),
         rng_algorithm=RNG_ALGORITHM,
-        suite_name=suite.name,
         mop_names=[p.name for p in suite.problems],
-        total_loss=[],
-        mop_losses=[],
-        eval_steps=[],
-        hv=[],
-        log_hv_diff=[],
-        wall_seconds=0.0,
         param_count=count_params(model),
         flops_per_batch=count_flops(model, config.batch_size),
         param_trace=[_param_digest(model)] if config.trace_params else None,
-        notes=notes,
     )
 
     def run_eval(step: int) -> None:
@@ -205,10 +194,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
             x = map_unit_to_box(outputs[i], mop.bounds)
             objectives = mop.evaluate(x)
             if not np.isfinite(objectives).all():
-                raise TrainingDivergedError(
-                    f"non-finite objective values for MOP '{mop.name}' "
-                    f"(index {i}) at iteration {iteration}"
-                )
+                raise _diverged("objective values", mop, i, iteration)
             jacobians = mop.jacobian(x)
             if config.ideal_update == "before-loss" or iteration == 1:
                 # The first batch always seeds the tracker, otherwise the
@@ -218,10 +204,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
             if config.ideal_update == "after-loss":
                 tracker.update(i, objectives)
             if not np.isfinite(loss_value):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss_value} for MOP '{mop.name}' "
-                    f"(index {i}) at iteration {iteration}"
-                )
+                raise _diverged(f"loss {loss_value}", mop, i, iteration)
             decision_grads = chain_to_decision(objective_grads, jacobians, mop.bounds.widths)
             if not np.isfinite(decision_grads).all():
                 raise TrainingDivergedError(_nonfinite_gradient_message([output_layers[i]], suite, iteration))
@@ -229,10 +212,8 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
             output_grads.append(decision_grads)
 
         grads = backward_all(model, caches, output_grads, weights)
-        if config.strict_weight_gating and zero_weight:
-            for layer in param_layout(arch):
-                if layer.mop in zero_weight:
-                    grads[layer.span] = 0.0
+        for span in frozen:
+            grads[span] = 0.0
         if not np.isfinite(grads).all():
             bad = nonfinite_layers(arch, grads)
             raise TrainingDivergedError(_nonfinite_gradient_message(bad, suite, iteration))
@@ -249,10 +230,10 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
 
 
 def train_psl(config: RunConfig, problem: MopDefinition) -> tuple[CoPslModel, RunRecord]:
-    """Train the single-problem baseline: the same loop on a singleton suite."""
-    suite = ProblemSuite(problem.name, (problem,))
-    single = dataclasses.replace(config, weights=(1.0,) if config.weights is None else config.weights)
-    return train_copsl(single, suite)
+    """Train the single-problem baseline: the same loop on a singleton suite, named in the config."""
+    weights = (1.0,) if config.weights is None else config.weights
+    single = dataclasses.replace(config, suite=(problem.name,), weights=weights)
+    return train_copsl(single, ProblemSuite(problem.name, (problem,)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +284,6 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
     seeds = [c.seed for c in seeded]  # as Python ints
     records: list[RunRecord] = []
     failures: list[dict] = []
-    artifacts: list[str] = []
     for seed, seed_config in zip(seeds, seeded):
         try:
             model, record = train_copsl(seed_config, suite)
@@ -312,18 +292,12 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
             continue
         records.append(record)
         if out_dir is not None:
-            paths = {
-                "record": os.path.join(out_dir, f"run_seed{seed}.json"),
-                "losses": os.path.join(out_dir, f"losses_seed{seed}.csv"),
-                "eval": os.path.join(out_dir, f"eval_seed{seed}.csv"),
-                "checkpoint": os.path.join(out_dir, f"model_seed{seed}.ckpt"),
-            }
-            record.save_json(paths["record"])
-            write_loss_csv(record, paths["losses"])
-            write_eval_csv(record, paths["eval"])
-            save_checkpoint(model, paths["checkpoint"], metadata={"suite": record.config["suite"], "seed": seed})
-            artifacts.extend(paths.values())
-    summary: dict = {"seeds": seeds, "records": records, "failures": failures, "artifacts": artifacts}
+            record.save_json(os.path.join(out_dir, f"run_seed{seed}.json"))
+            write_loss_csv(record, os.path.join(out_dir, f"losses_seed{seed}.csv"))
+            write_eval_csv(record, os.path.join(out_dir, f"eval_seed{seed}.csv"))
+            checkpoint = os.path.join(out_dir, f"model_seed{seed}.ckpt")
+            save_checkpoint(model, checkpoint, metadata={"suite": record.config["suite"], "seed": seed})
+    summary: dict = {"seeds": seeds, "records": records, "failures": failures}
     if records:
         final_hv = np.array([r.hv[-1] for r in records])
         walls = np.array([r.wall_seconds for r in records])

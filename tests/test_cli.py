@@ -79,7 +79,7 @@ class TestRun:
             ({"weights": ["x", 1.0]}, "weights must be a list of real numbers or null, got ['x', 1.0]"),
             ({"adam_beta1": 1.0}, "adam_beta1 must lie in [0, 1), got 1.0"),
             ({"adam_beta2": 1.5}, "adam_beta2 must lie in [0, 1), got 1.5"),
-            ({"adam_epsilon": -1.0}, "adam_epsilon must be positive, got -1.0"),
+            ({"adam_epsilon": -1.0}, "adam_epsilon must be finite and positive, got -1.0"),
             ({"learning_rate": math.inf}, "learning_rate must be finite and positive, got inf"),
             ({"loss": "cosmos", "gamma": math.inf}, "gamma must be finite, got inf"),
             ({"seed": -5}, "seed must be >= 0, got -5"),
@@ -98,6 +98,9 @@ class TestRun:
             ({"dirichlet_alpha": [True, 2]}, "dirichlet_alpha must be a list of real numbers or null, got [True, 2]"),
             ({"hidden_sizes": 5}, "hidden_sizes must be integers, got 5"),
             ({"weights": 5}, "weights must be a list of real numbers or null, got 5"),
+            pytest.param({"gamma": 10**400}, f"gamma must be a real number, got {10**400}", id="gamma-401-digits"),
+            ({"adam_epsilon": math.inf}, "adam_epsilon must be finite and positive, got inf"),
+            ({"suite": "zdt1,zdt1"}, "a problem suite cannot repeat a problem, got 'zdt1' more than once"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):

@@ -1,5 +1,6 @@
 """Property tests of the flat parameter layout over random small architectures."""
 
+import dataclasses
 import hashlib
 import re
 from pathlib import Path
@@ -20,7 +21,7 @@ from copsl.model import (
     parameter_arrays,
     save_checkpoint,
 )
-from copsl.problems import SYNTHETIC_2D, suite_from_names
+from copsl.problems import SYNTHETIC_2D, ProblemSuite, get_problem, suite_from_names
 from copsl.sampling import RngStream
 from copsl.trainer import RunConfig, train_copsl
 
@@ -118,10 +119,11 @@ def test_truncated_or_padded_body_is_rejected(tmp_path_factory, arch, count, pad
 @st.composite
 def suites(draw):
     if draw(st.booleans()):
-        names = draw(st.lists(st.sampled_from(SYNTHETIC_2D), min_size=1, max_size=3, unique=True))
-    else:
-        names = ["dtlz2"] * draw(st.integers(1, 3))
-    return suite_from_names(names)
+        return suite_from_names(draw(st.lists(st.sampled_from(SYNTHETIC_2D), min_size=1, max_size=3, unique=True)))
+    # dtlz2 is the one three-objective problem and a suite names each problem
+    # once, so several three-objective heads train renamed copies of it.
+    copies = [dataclasses.replace(get_problem("dtlz2"), name=f"dtlz2-{i}") for i in range(draw(st.integers(1, 3)))]
+    return ProblemSuite("dtlz2-copies", tuple(copies))
 
 
 @settings(max_examples=15, deadline=None)

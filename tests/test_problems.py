@@ -265,6 +265,11 @@ class TestSuites:
         with pytest.raises(ConfigurationError):
             ProblemSuite("bad", (get_problem("zdt1"), get_problem("dtlz2")))
 
+    @pytest.mark.parametrize("spec", ["zdt1,zdt1", ["zdt2", "zdt1", "zdt2"]])
+    def test_repeated_problem_rejected(self, spec):
+        with pytest.raises(ConfigurationError, match="cannot repeat a problem, got 'zdt[12]' more than once"):
+            suite_from_spec(spec)
+
     def test_suite_from_names(self):
         suite = suite_from_names(["zdt1", "zdt2"])
         assert [p.name for p in suite.problems] == ["zdt1", "zdt2"]

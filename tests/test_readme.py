@@ -1,5 +1,6 @@
 """README.md matches the code: every ``python`` code block runs as written,
-and the config table lists the config file's keys.
+the config table lists the config file's keys, and "Artifacts" lists the
+run record's.
 
 Each block runs in a fresh namespace, and the problem registry is restored
 after it, so an example that registers a problem leaves no trace.
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from copsl.config import RunConfig
+from copsl.trainer import RunRecord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -32,3 +34,9 @@ def test_config_table_lists_every_key_in_field_order():
     key_cells = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
     keys = [key for cell in key_cells for key in re.findall(r"`([a-z_0-9]+)`", cell)]
     assert keys == ["config_version"] + [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def test_artifacts_list_every_record_key_in_field_order():
+    record = TEXT.split("`run_seed<S>.json`", 1)[1].split("\n- `", 1)[0]
+    keys = re.findall(r"^  - `([a-z_]+)`:", record, flags=re.MULTILINE)
+    assert keys == [f.name for f in dataclasses.fields(RunRecord)]

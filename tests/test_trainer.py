@@ -166,6 +166,11 @@ class TestConfig:
         # checks on generated values.
         assert_rejected_by_name(key, value)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("key", [key for key, (kind, _, _) in CONFIG_FIELDS.items() if kind in ("real", "reals")])
+    def test_integer_beyond_float_range_rejected_by_name(self, key, value):
+        assert_rejected_by_name(key, [value, 1] if CONFIG_FIELDS[key][0] == "reals" else value)
+
     def test_every_field_has_a_kind(self):
         assert list(CONFIG_FIELDS) == [f.name for f in dataclasses.fields(RunConfig)]
 
@@ -233,6 +238,13 @@ class TestTrainingLoop:
         _, from_psl = train_psl(cfg, get_problem("zdt1"))
         assert from_copsl.param_trace == from_psl.param_trace
         assert from_copsl.total_loss == from_psl.total_loss
+
+    def test_baseline_record_config_reruns_bitwise(self):
+        _, baseline = train_psl(tiny_config(iterations=6, trace_params=True), get_problem("zdt1"))
+        assert (baseline.config["suite"], baseline.config["weights"]) == (["zdt1"], [1.0])
+        _, again = train_copsl(RunConfig.from_dict(baseline.config))
+        assert again.param_trace == baseline.param_trace
+        assert again.total_loss == baseline.total_loss
 
     def test_eval_series_lengths(self):
         cfg = tiny_config(iterations=12, eval_interval=5)
@@ -390,6 +402,11 @@ class TestEvaluateModel:
         for i, mop in enumerate(ZDT_PAIR.problems):
             bound = true_front_hv(mop, mop.reference_point)
             assert rec.hv[-1][i] <= bound + 1e-9
+
+    def test_suite_with_another_objective_count_rejected(self):
+        model, _ = train_copsl(tiny_config(iterations=1), ZDT_PAIR)
+        with pytest.raises(ConfigurationError, match="^suite has 3 objectives but the model expects 2$"):
+            evaluate_model(model, suite_from_names(["dtlz2"]), uniform_preference_grid(3, 10))
 
     def test_front_size_bounded_by_grid(self):
         model, _ = train_copsl(tiny_config(iterations=2), ZDT_PAIR)
