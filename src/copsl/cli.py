@@ -37,13 +37,14 @@ def _run_inputs(args) -> tuple[RunConfig, list[int], str]:
 
 def cmd_run(args) -> int:
     config, seeds, out_dir = _run_inputs(args)
-    summary = run_batch(config, seeds, out_dir=out_dir)
-    for failure in summary["failures"]:
+    records, failures = run_batch(config, seeds, out_dir=out_dir)
+    for failure in failures:
         print(f"seed {failure['seed']} failed: {failure['error']}", file=sys.stderr)
-    if summary["records"]:
-        for name, mean, std in zip(summary["mop_names"], summary["mean_final_hv"], summary["std_final_hv"]):
-            print(f"{name}: final HV {mean:.6g} +- {std:.3g} over {len(summary['records'])} run(s)")
-    return 1 if summary["failures"] else 0
+    if records:
+        final_hv = np.array([record.hv[-1] for record in records])
+        for name, mean, std in zip(records[0].mop_names, final_hv.mean(axis=0), final_hv.std(axis=0)):
+            print(f"{name}: final HV {mean:.6g} +- {std:.3g} over {len(records)} run(s)")
+    return 1 if failures else 0
 
 
 def cmd_ablate(args) -> int:

@@ -97,9 +97,19 @@ _RULES = {
 }
 
 
+def _shown(value) -> str:
+    """``repr``, but a tuple as the JSON list a config holds, and an integer
+    past Python's int-to-str digit limit, which ``repr`` refuses, by its size."""
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(_shown, value))}]"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _invalid(name: str, requirement: str, value) -> ConfigurationError:
-    shown = list(value) if isinstance(value, tuple) else value  # the JSON list a config holds
-    return ConfigurationError(f"{name} must {requirement}, got {shown!r}")
+    return ConfigurationError(f"{name} must {requirement}, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +211,8 @@ def load_config(path: str) -> RunConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past Python's int-to-str digit limit
+        raise ConfigurationError(f"cannot parse config {path!r}: {exc}") from exc
     version = data.pop("config_version", CONFIG_VERSION) if isinstance(data, dict) else CONFIG_VERSION
     if type(version) is not int or version != CONFIG_VERSION:  # JSON true and 1.0 equal 1
         raise ConfigurationError(f"unsupported config_version {version!r}, expected {CONFIG_VERSION}")

@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,8 @@ class ModelArchitecture:
 
     ``shared_depth`` counts how many leading hidden layers form the trunk;
     the output layer is always problem-specific. ``output_dims`` lists the
-    decision-space dimension of each problem, one entry per head.
+    decision-space dimension of each problem, one entry per head. Every
+    size is a Python ``int``: a checkpoint's header rebuilds it as written.
     """
 
     num_objectives: int
@@ -51,8 +52,13 @@ class ModelArchitecture:
     output_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        object.__setattr__(self, "output_dims", tuple(int(n) for n in self.output_dims))
+        lists = (self.hidden_sizes, self.output_dims)
+        if not all(isinstance(sizes, (list, tuple)) for sizes in lists) or not all(
+            type(size) is int for size in (self.num_objectives, self.shared_depth, *lists[0], *lists[1])
+        ):  # a bool, a float or a string is refused, not converted
+            raise ConfigurationError(f"architecture sizes must be integers and lists of integers, got {self}")
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        object.__setattr__(self, "output_dims", tuple(self.output_dims))
         if self.num_objectives < 2:
             raise ConfigurationError(f"need at least 2 objectives, got {self.num_objectives}")
         if not self.output_dims:
@@ -68,24 +74,12 @@ class ModelArchitecture:
     def num_mops(self) -> int:
         return len(self.output_dims)
 
-    def to_dict(self) -> dict:
-        return {
-            "num_objectives": self.num_objectives,
-            "hidden_sizes": list(self.hidden_sizes),
-            "shared_depth": self.shared_depth,
-            "output_dims": list(self.output_dims),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ModelArchitecture":
+        """The architecture a JSON object of exactly its four fields describes."""
         try:
-            return cls(
-                num_objectives=int(data["num_objectives"]),
-                hidden_sizes=tuple(data["hidden_sizes"]),
-                shared_depth=int(data["shared_depth"]),
-                output_dims=tuple(data["output_dims"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**data)
+        except TypeError as exc:  # not an object, or a field missing or unknown
             raise ConfigurationError(f"malformed architecture description: {exc}") from exc
 
 
@@ -297,7 +291,7 @@ def save_checkpoint(model: CoPslModel, path: str, metadata: dict | None = None) 
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "architecture": model.arch.to_dict(),
+        "architecture": asdict(model.arch),  # its tuples as JSON lists
         "metadata": metadata or {},
     }
     header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
@@ -324,7 +318,7 @@ def _read_checkpoint(handle, path: str) -> tuple[CoPslModel, dict]:
         raise CheckpointError("checkpoint has no header line")
     try:
         header = json.loads(line[:-1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past the int-to-str digit limit
         raise CheckpointError(f"checkpoint header is corrupt: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError("not a model checkpoint")

@@ -43,6 +43,8 @@ class BoxBounds:
         hi = np.asarray(self.upper, dtype=np.float64)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ConfigurationError(f"bounds must be equal-length vectors, got {lo.shape} and {hi.shape}")
+        if lo.shape[0] < 1:
+            raise ConfigurationError("bounds must hold at least one variable")
         if not (lo < hi).all():
             raise ConfigurationError("every lower bound must be strictly below its upper bound")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -89,15 +91,15 @@ class MopDefinition:
     ``evaluate_batch`` maps (N, n) decision matrices to (N, m) objective
     matrices; ``jacobian_batch`` maps them to (N, m, n) stacks of Jacobians.
     ``reference_point`` (m,) is what hypervolumes are measured against. These
-    three are required, so a problem is complete once it is built.
+    three are required, so a problem is complete once it is built. Its sizes
+    are stated once: n is the dimension of ``bounds``, m the length of
+    ``reference_point``.
     ``front_hypervolume`` (when present) returns the exact hypervolume of the
     true Pareto front for a given reference point, and ``front_points``
     samples the front for plotting or oracle checks.
     """
 
     name: str
-    num_objectives: int
-    num_variables: int
     bounds: BoxBounds
     reference_point: np.ndarray
     evaluate_batch: Callable[[np.ndarray], np.ndarray]
@@ -106,14 +108,6 @@ class MopDefinition:
     front_points: Optional[Callable[[int], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.num_objectives < 2:
-            raise ConfigurationError("a multi-objective problem needs at least 2 objectives")
-        if self.num_variables < 1:
-            raise ConfigurationError("decision dimension must be >= 1")
-        if self.bounds.dimension != self.num_variables:
-            raise ConfigurationError(
-                f"bounds dimension {self.bounds.dimension} does not match n={self.num_variables}"
-            )
         for field_name in ("evaluate_batch", "jacobian_batch"):
             value = getattr(self, field_name)
             if not callable(value):
@@ -122,12 +116,20 @@ class MopDefinition:
             ref = np.asarray(self.reference_point, dtype=np.float64)  # None becomes a 0-d NaN
         except (TypeError, ValueError):  # not numbers, or a ragged list: fails the shape check
             ref = np.empty(0)
-        if ref.shape != (self.num_objectives,):
+        if ref.ndim != 1 or ref.shape[0] < 2:
             raise ConfigurationError(
-                f"problem '{self.name}': reference point must have length {self.num_objectives}, "
+                f"problem '{self.name}': reference point must hold one value per objective, at least 2, "
                 f"got {self.reference_point!r}"
             )
         object.__setattr__(self, "reference_point", ref)
+
+    @property
+    def num_objectives(self) -> int:
+        return self.reference_point.shape[0]
+
+    @property
+    def num_variables(self) -> int:
+        return self.bounds.dimension
 
     def _prepare(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -152,7 +154,6 @@ class MopDefinition:
 class ProblemSuite:
     """An ordered collection of problems sharing one objective count."""
 
-    name: str
     problems: tuple[MopDefinition, ...]
 
     def __post_init__(self):
@@ -187,16 +188,14 @@ class ProblemSuite:
 # ---------------------------------------------------------------------------
 
 
-def finite_difference_jacobian(
-    evaluate_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference Jacobians (N, m, n) of (N, n) points, step rel_step * (1 + |x_j|)."""
+def finite_difference_jacobian(evaluate_batch: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians (N, m, n) of (N, n) points, step 1e-6 * (1 + |x_j|)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1]
     m = evaluate_batch(x).shape[1]
     jac = np.empty((x.shape[0], m, n), dtype=np.float64)
     for j in range(n):
-        step = rel_step * (1.0 + np.abs(x[:, j]))
+        step = 1e-6 * (1.0 + np.abs(x[:, j]))
         hi, lo = x.copy(), x.copy()
         hi[:, j] += step
         lo[:, j] -= step
@@ -236,7 +235,6 @@ def true_front_hv(mop: MopDefinition, reference) -> float:
 # Built-in two-objective family
 # ---------------------------------------------------------------------------
 
-_ZDT_N = 6
 _ZDT_REF = (1.1, 1.1)
 
 
@@ -333,9 +331,7 @@ def _make_zdt_problem(name: str, shape: str, g_fn) -> MopDefinition:
 
     return MopDefinition(
         name=name,
-        num_objectives=2,
-        num_variables=_ZDT_N,
-        bounds=unit_box(_ZDT_N),
+        bounds=unit_box(6),
         reference_point=np.array(_ZDT_REF),
         evaluate_batch=evaluate_batch,
         jacobian_batch=jacobian_batch,
@@ -344,7 +340,7 @@ def _make_zdt_problem(name: str, shape: str, g_fn) -> MopDefinition:
     )
 
 
-def _make_dtlz2(name: str = "dtlz2", num_variables: int = 6) -> MopDefinition:
+def _make_dtlz2() -> MopDefinition:
     def evaluate_batch(x: np.ndarray) -> np.ndarray:
         a1 = x[:, 0] * (math.pi / 2.0)
         a2 = x[:, 1] * (math.pi / 2.0)
@@ -397,10 +393,8 @@ def _make_dtlz2(name: str = "dtlz2", num_variables: int = 6) -> MopDefinition:
         return np.column_stack([np.cos(a1) * np.cos(a2), np.cos(a1) * np.sin(a2), np.sin(a1)])
 
     return MopDefinition(
-        name=name,
-        num_objectives=3,
-        num_variables=num_variables,
-        bounds=unit_box(num_variables),
+        name="dtlz2",
+        bounds=unit_box(6),
         reference_point=np.array([1.1, 1.1, 1.1]),
         evaluate_batch=evaluate_batch,
         jacobian_batch=jacobian_batch,
@@ -419,9 +413,9 @@ SYNTHETIC_2D = ("zdt1", "zdt2", "zdt1-shifted", "zdt2-shifted", "zdt1-rotatedg",
 BUILTIN_SUITES = {"synthetic-2d": SYNTHETIC_2D}
 
 
-def register_problem(problem: MopDefinition, replace_existing: bool = False) -> None:
+def register_problem(problem: MopDefinition) -> None:
     """Add a problem under its name, so suites and configs can name it."""
-    if problem.name in _REGISTRY and not replace_existing:
+    if problem.name in _REGISTRY:
         raise ConfigurationError(f"problem '{problem.name}' is already registered")
     _REGISTRY[problem.name] = problem
 
@@ -440,12 +434,12 @@ def builtin_suite(name: str) -> ProblemSuite:
     differentiable two-objective problems."""
     if name not in BUILTIN_SUITES:
         raise ConfigurationError(f"unknown suite '{name}'; expected {' or '.join(map(repr, BUILTIN_SUITES))}")
-    return ProblemSuite(name, tuple(get_problem(p) for p in BUILTIN_SUITES[name]))
+    return ProblemSuite(tuple(get_problem(p) for p in BUILTIN_SUITES[name]))
 
 
-def suite_from_names(names, suite_name: str = "custom") -> ProblemSuite:
+def suite_from_names(names) -> ProblemSuite:
     """Build a suite from registered problem names."""
-    return ProblemSuite(suite_name, tuple(get_problem(n) for n in names))
+    return ProblemSuite(tuple(get_problem(n) for n in names))
 
 
 def suite_from_spec(spec) -> ProblemSuite:

@@ -98,7 +98,7 @@ def _grid_objectives(model: CoPslModel, suite: ProblemSuite, grid: np.ndarray) -
         )
     if suite.output_dims != model.arch.output_dims:
         raise ConfigurationError(
-            f"suite '{suite.name}' has output_dims {list(suite.output_dims)} "
+            f"suite {[mop.name for mop in suite.problems]} has output_dims {list(suite.output_dims)} "
             f"but the model's heads have output_dims {list(model.arch.output_dims)}"
         )
     return [mop.evaluate(map_unit_to_box(x, mop.bounds)) for x, mop in zip(predict(model, grid), suite.problems)]
@@ -233,7 +233,7 @@ def train_psl(config: RunConfig, problem: MopDefinition) -> tuple[CoPslModel, Ru
     """Train the single-problem baseline: the same loop on a singleton suite, named in the config."""
     weights = (1.0,) if config.weights is None else config.weights
     single = dataclasses.replace(config, suite=(problem.name,), weights=weights)
-    return train_copsl(single, ProblemSuite(problem.name, (problem,)))
+    return train_copsl(single, ProblemSuite((problem,)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +254,9 @@ def run_ablation(config: RunConfig, seeds=(0,)) -> tuple[list[dict], list[dict]]
     failures: list[dict] = []
     baseline_hv: dict[tuple[int, int], float] = {}
     for depth in range(len(config.hidden_sizes) + 1):
-        summary = run_batch(dataclasses.replace(config, shared_depth=depth), seeds)
-        failures.extend({"shared_depth": depth, **failure} for failure in summary["failures"])
-        for record in summary["records"]:
+        records, variant_failures = run_batch(dataclasses.replace(config, shared_depth=depth), seeds)
+        failures.extend({"shared_depth": depth, **failure} for failure in variant_failures)
+        for record in records:
             seed, params = record.config["seed"], record.param_count
             for i, (mop, hv) in enumerate(zip(record.mop_names, record.hv[-1])):
                 if depth == 0:
@@ -267,14 +267,15 @@ def run_ablation(config: RunConfig, seeds=(0,)) -> tuple[list[dict], list[dict]]
     return rows, failures
 
 
-def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
-    """Run one config across all seeds and aggregate final metrics.
+def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> tuple[list[RunRecord], list[dict]]:
+    """Run one config across all seeds; returns (records, failures).
 
-    A config that does not fit its suite, or a negative seed, raises
-    :class:`ConfigurationError` before any seed trains. Runs that fail are
-    recorded per seed and excluded from the statistics; they do not abort the
-    batch. With ``out_dir`` set, every run's record, loss and evaluation
-    series, and final checkpoint are persisted there, tagged ``seed<S>``.
+    A config that does not fit its suite, or a negative or repeated seed,
+    raises :class:`ConfigurationError` before any seed trains. A run that
+    fails becomes a ``{"seed", "error"}`` failure and does not abort the
+    batch; ``records`` holds the other runs in seed order. With ``out_dir``
+    set, every run's record, loss and evaluation series, and final checkpoint
+    are persisted there, tagged ``seed<S>``.
     """
     if len(seeds) < 1:
         raise ConfigurationError("need at least one seed")
@@ -282,6 +283,9 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
     config.check_suite(suite)
     seeded = [dataclasses.replace(config, seed=seed) for seed in seeds]  # validates every seed
     seeds = [c.seed for c in seeded]  # as Python ints
+    repeated = [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]
+    if repeated:
+        raise ConfigurationError(f"a batch cannot repeat a seed, got {repeated[0]} more than once")
     records: list[RunRecord] = []
     failures: list[dict] = []
     for seed, seed_config in zip(seeds, seeded):
@@ -297,16 +301,7 @@ def run_batch(config: RunConfig, seeds, out_dir: Optional[str] = None) -> dict:
             write_eval_csv(record, os.path.join(out_dir, f"eval_seed{seed}.csv"))
             checkpoint = os.path.join(out_dir, f"model_seed{seed}.ckpt")
             save_checkpoint(model, checkpoint, metadata={"suite": record.config["suite"], "seed": seed})
-    summary: dict = {"seeds": seeds, "records": records, "failures": failures}
-    if records:
-        final_hv = np.array([r.hv[-1] for r in records])
-        walls = np.array([r.wall_seconds for r in records])
-        summary["mop_names"] = records[0].mop_names
-        summary["mean_final_hv"] = final_hv.mean(axis=0).tolist()
-        summary["std_final_hv"] = final_hv.std(axis=0).tolist()
-        summary["mean_wall_seconds"] = float(walls.mean())
-        summary["std_wall_seconds"] = float(walls.std())
-    return summary
+    return records, failures
 
 
 # ---------------------------------------------------------------------------

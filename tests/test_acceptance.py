@@ -61,9 +61,9 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="session")
 def efficacy_runs(tmp_path_factory):
     out_dir = str(tmp_path_factory.mktemp("efficacy"))
-    summary = run_batch(EFFICACY_CONFIG, seeds=SEEDS, out_dir=out_dir)
-    assert not summary["failures"], summary["failures"]
-    return summary["records"], out_dir
+    records, failures = run_batch(EFFICACY_CONFIG, seeds=SEEDS, out_dir=out_dir)
+    assert not failures, failures
+    return records, out_dir
 
 
 def test_criterion_1_model_size_and_flop_counts():
@@ -174,7 +174,7 @@ def test_criterion_3_single_problem_reduction_is_bitwise():
         seed=7,
         trace_params=True,
     )
-    single_suite = ProblemSuite("zdt1", (get_problem("zdt1"),))
+    single_suite = ProblemSuite((get_problem("zdt1"),))
     _, collaborative = train_copsl(config, single_suite)
     _, baseline = train_psl(config, get_problem("zdt1"))
     ok = (
@@ -335,8 +335,8 @@ def test_criterion_8_preference_sampler_statistics():
 def test_criterion_9_reruns_reproduce_csv_bytes(efficacy_runs, tmp_path):
     _, first_dir = efficacy_runs
     second_dir = str(tmp_path / "rerun")
-    summary = run_batch(EFFICACY_CONFIG, seeds=SEEDS, out_dir=second_dir)
-    assert not summary["failures"]
+    _, failures = run_batch(EFFICACY_CONFIG, seeds=SEEDS, out_dir=second_dir)
+    assert not failures
     mismatched = []
     for seed in SEEDS:
         for kind in ("losses", "eval"):

@@ -113,6 +113,34 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"gamma": %s}' % (b"1" * 5001), "Exceeds the limit (4300 digits) for integer string conversion"),
+            (b'{"suite": "zdt1\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["gamma-5001-digits", "not-utf-8"],
+    )
+    def test_config_that_json_cannot_read_exits_2(self, tmp_path, capsys, text, message):
+        config = tmp_path / "c.json"
+        config.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists() or not list(out.iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot parse config {str(config)!r}: {message}")
+
+    def test_repeated_seed_exits_2_before_training(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        code = main(["run", "--config", config, "--seed", "1", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists() or not list(out.iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a batch cannot repeat a seed, got 1 more than once\n"
+
     def test_negative_seed_exits_2_before_training(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
@@ -194,6 +222,15 @@ class TestAblate:
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
 
+    def test_repeated_seed_exits_2_before_any_variant(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", config, "--seed", "0", "--seed", "1", "--seed", "0", "--out", str(out)]) == 2
+        assert not out.exists() or not list(out.iterdir())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a batch cannot repeat a seed, got 0 more than once\n"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path / "c.json", hidden_sizes=[6, 6], iterations=2)
         out_a = tmp_path / "a"
@@ -227,7 +264,8 @@ class TestFront:
         checkpoint = str(out / "model_seed0.ckpt")
         assert main(["front", "--checkpoint", checkpoint, "--suite", "synthetic-2d", "--out", str(front_out)]) == 2
         assert capsys.readouterr().err == (
-            "error: suite 'synthetic-2d' has output_dims [6, 6, 6, 6, 6, 6] "
+            "error: suite ['zdt1', 'zdt2', 'zdt1-shifted', 'zdt2-shifted', 'zdt1-rotatedg', 'zdt2-mixed'] "
+            "has output_dims [6, 6, 6, 6, 6, 6] "
             "but the model's heads have output_dims [6, 6]\n"
         )
         assert not list(tmp_path.glob("front*"))
@@ -298,6 +336,48 @@ class TestFront:
         assert not list(tmp_path.glob("front*"))
 
     @pytest.mark.parametrize(
+        "architecture, message",
+        [
+            (
+                '{"num_objectives": 2.7, "hidden_sizes": "88", "shared_depth": true, "output_dims": "6"}',
+                "architecture sizes must be integers and lists of integers, got ModelArchitecture("
+                "num_objectives=2.7, hidden_sizes='88', shared_depth=True, output_dims='6')",
+            ),
+            (
+                '{"num_objectives": 2, "hidden_sizes": [8.9, 8.2], "shared_depth": 1, "output_dims": [6]}',
+                "architecture sizes must be integers and lists of integers, got ModelArchitecture("
+                "num_objectives=2, hidden_sizes=[8.9, 8.2], shared_depth=1, output_dims=[6])",
+            ),
+            (
+                '{"num_objectives": 2, "hidden_sizes": [8, 8], "shared_depth": 1, "output_dims": [6], "heads": 1}',
+                "malformed architecture description: ModelArchitecture.__init__() got an unexpected keyword argument 'heads'",
+            ),
+        ],
+        ids=["mixed-kinds", "float-sizes", "unknown-field"],
+    )
+    def test_malformed_architecture_exits_2(self, tmp_path, capsys, architecture, message):
+        # Each header describes, once converted, the model whose body follows;
+        # it is refused, not converted.
+        checkpoint = tmp_path / "a.ckpt"
+        save_checkpoint(build_model(ModelArchitecture(2, (8, 8), 1, (6,)), RngStream(0)), str(checkpoint))
+        header, body = checkpoint.read_bytes().split(b"\n", 1)
+        original = '{"hidden_sizes": [8, 8], "num_objectives": 2, "output_dims": [6], "shared_depth": 1}'
+        assert original.encode() in header
+        checkpoint.write_bytes(header.replace(original.encode(), architecture.encode()) + b"\n" + body)
+        assert main(["front", "--checkpoint", str(checkpoint), "--suite", "zdt1", "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == f"error: checkpoint architecture is invalid: {message}\n"
+        assert not list(tmp_path.glob("f*"))
+
+    def test_header_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        checkpoint = tmp_path / "a.ckpt"
+        save_checkpoint(build_model(ModelArchitecture(2, (8,), 1, (6,)), RngStream(0)), str(checkpoint), {"seed": 0})
+        raw = checkpoint.read_bytes()
+        assert raw.count(b'"seed": 0}') == 1
+        checkpoint.write_bytes(raw.replace(b'"seed": 0}', b'"seed": ' + b"1" * 5001 + b"}"))
+        assert main(["front", "--checkpoint", str(checkpoint), "--suite", "zdt1", "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint header is corrupt: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize(
         "metadata, message",
         [
             (["zdt1", "zdt2"], "checkpoint metadata must be a JSON object, got ['zdt1', 'zdt2']"),
@@ -330,8 +410,6 @@ def linear_front_problem() -> MopDefinition:
 
     return MopDefinition(
         name="linear-front",
-        num_objectives=2,
-        num_variables=2,
         bounds=BoxBounds(np.zeros(2), np.ones(2)),
         reference_point=np.array([1.1, 1.1]),
         evaluate_batch=evaluate,

@@ -123,7 +123,7 @@ def suites(draw):
     # dtlz2 is the one three-objective problem and a suite names each problem
     # once, so several three-objective heads train renamed copies of it.
     copies = [dataclasses.replace(get_problem("dtlz2"), name=f"dtlz2-{i}") for i in range(draw(st.integers(1, 3)))]
-    return ProblemSuite("dtlz2-copies", tuple(copies))
+    return ProblemSuite(tuple(copies))
 
 
 @settings(max_examples=15, deadline=None)

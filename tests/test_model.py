@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -307,7 +308,7 @@ class TestCheckpoint:
         header = {
             "format": "copsl-checkpoint",
             "version": 1,
-            "architecture": model.arch.to_dict(),
+            "architecture": dataclasses.asdict(model.arch),
             "metadata": {"seed": 3},
         }
         expected = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + model.params.astype("<f8").tobytes()

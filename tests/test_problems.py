@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copsl.errors import ConfigurationError, InputError, InternalError, UnsupportedError
 from copsl.problems import (
@@ -263,7 +265,7 @@ class TestSuites:
 
     def test_mixed_objective_counts_rejected(self):
         with pytest.raises(ConfigurationError):
-            ProblemSuite("bad", (get_problem("zdt1"), get_problem("dtlz2")))
+            ProblemSuite((get_problem("zdt1"), get_problem("dtlz2")))
 
     @pytest.mark.parametrize("spec", ["zdt1,zdt1", ["zdt2", "zdt1", "zdt2"]])
     def test_repeated_problem_rejected(self, spec):
@@ -291,6 +293,32 @@ class TestSuites:
             suite_from_spec("bogus")
 
 
+class TestSizes:
+    """A problem states each size once: n is its box's dimension, m its reference point's length."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+        st.floats(1e-3, 1e3),
+        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
+    )
+    def test_sizes_come_from_the_box_and_the_reference(self, lower, width, reference):
+        box = BoxBounds(np.array(lower), np.array(lower) + width)
+        mop = dataclasses.replace(get_problem("zdt1"), name="sized", bounds=box, reference_point=reference)
+        assert (mop.num_variables, mop.num_objectives) == (len(lower), len(reference))
+        suite = ProblemSuite((mop,))
+        assert (suite.output_dims, suite.num_objectives) == ((len(lower),), len(reference))
+
+    def test_empty_box_rejected(self):
+        with pytest.raises(ConfigurationError, match="^bounds must hold at least one variable$"):
+            BoxBounds(np.zeros(0), np.ones(0))
+
+    @pytest.mark.parametrize("reference", [(), (1.1,)], ids=["empty", "one-value"])
+    def test_reference_of_fewer_than_two_values_rejected(self, reference):
+        with pytest.raises(ConfigurationError, match="^problem 'sized': reference point must hold one value per objective"):
+            dataclasses.replace(get_problem("zdt1"), name="sized", reference_point=reference)
+
+
 class TestRegistry:
     @pytest.mark.parametrize(
         "field, value, message",
@@ -298,11 +326,24 @@ class TestRegistry:
             ("evaluate_batch", None, "evaluate_batch must be callable, got None"),
             ("evaluate_batch", 3.0, "evaluate_batch must be callable, got 3.0"),
             ("jacobian_batch", None, "jacobian_batch must be callable, got None"),
-            ("reference_point", None, "reference point must have length 2, got None"),
-            ("reference_point", (1.1, 1.1, 1.1), r"reference point must have length 2, got \(1.1, 1.1, 1.1\)"),
-            ("reference_point", "1.1,1.1", "reference point must have length 2, got '1.1,1.1'"),
+            ("reference_point", None, "reference point must hold one value per objective, at least 2, got None"),
+            ("reference_point", (1.1,), r"reference point must hold one value per objective, at least 2, got \(1.1,\)"),
+            ("reference_point", "1.1,1.1", "reference point must hold one value per objective, at least 2, got '1.1,1.1'"),
+            (
+                "reference_point",
+                [[1.1, 1.1]],
+                r"reference point must hold one value per objective, at least 2, got \[\[1.1, 1.1\]\]",
+            ),
         ],
-        ids=["no-evaluator", "evaluator-not-callable", "no-jacobian", "no-reference", "long-reference", "text-reference"],
+        ids=[
+            "no-evaluator",
+            "evaluator-not-callable",
+            "no-jacobian",
+            "no-reference",
+            "short-reference",
+            "text-reference",
+            "matrix-reference",
+        ],
     )
     def test_incomplete_definition_rejected(self, field, value, message):
         # Every problem is complete once built, so no later check is needed

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import copsl.metrics as metrics_mod
 import copsl.trainer as trainer_mod
+from copsl.cli import main as cli_main
 from copsl.errors import ConfigurationError, InputError, TrainingDivergedError
 from copsl.metrics import csv_float, nondominated_filter
 from copsl.model import backward_all, count_params, param_layout
@@ -43,7 +44,7 @@ def tiny_config(**overrides):
     return RunConfig(**base)
 
 
-ZDT_PAIR = suite_from_names(["zdt1", "zdt2"], "zdt-pair")
+ZDT_PAIR = suite_from_names(["zdt1", "zdt2"])
 
 # Each config field by the kind of value it takes: its valid values, each
 # possibly a NumPy scalar, and the Python type a stored value has.
@@ -166,10 +167,17 @@ class TestConfig:
         # checks on generated values.
         assert_rejected_by_name(key, value)
 
-    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
     @pytest.mark.parametrize("key", [key for key, (kind, _, _) in CONFIG_FIELDS.items() if kind in ("real", "reals")])
     def test_integer_beyond_float_range_rejected_by_name(self, key, value):
         assert_rejected_by_name(key, [value, 1] if CONFIG_FIELDS[key][0] == "reals" else value)
+
+    def test_integer_past_the_digit_limit_shown_by_its_size(self):
+        # repr refuses an integer of more than 4300 digits, so the message gives its bit length.
+        with pytest.raises(ConfigurationError, match=r"^gamma must be a real number, got an integer of 16610 bits$"):
+            RunConfig(gamma=10**5000)
+        with pytest.raises(ConfigurationError, match=r"^weights must .*, got \[1\.0, an integer of 16610 bits\]$"):
+            RunConfig(weights=(1.0, 10**5000))
 
     def test_every_field_has_a_kind(self):
         assert list(CONFIG_FIELDS) == [f.name for f in dataclasses.fields(RunConfig)]
@@ -233,7 +241,7 @@ class TestTrainingLoop:
 
     def test_singleton_suite_matches_baseline_bitwise(self):
         cfg = tiny_config(suite=("zdt1",), iterations=20, trace_params=True)
-        solo = ProblemSuite("zdt1", (get_problem("zdt1"),))
+        solo = ProblemSuite((get_problem("zdt1"),))
         _, from_copsl = train_copsl(cfg, solo)
         _, from_psl = train_psl(cfg, get_problem("zdt1"))
         assert from_copsl.param_trace == from_psl.param_trace
@@ -280,7 +288,7 @@ class TestTrainingLoop:
             evaluate_batch=counting_evaluate,
             jacobian_batch=counting_jacobian,
         )
-        suite = ProblemSuite("counted", (counted,))
+        suite = ProblemSuite((counted,))
         cfg = tiny_config(suite=("zdt1",), iterations=7, batch_size=5, eval_interval=100)
         train_copsl(cfg, suite)
         # 7 training batches of 5 rows plus 2 evaluation passes (steps 0, 7)
@@ -299,7 +307,7 @@ class TestTrainingLoop:
             return out
 
         broken = dataclasses.replace(base, name="broken", evaluate_batch=exploding)
-        suite = ProblemSuite("broken", (broken,))
+        suite = ProblemSuite((broken,))
         cfg = tiny_config(suite=("zdt1",), iterations=5, batch_size=5)
         with pytest.raises(TrainingDivergedError, match="broken.*iteration 1"):
             train_copsl(cfg, suite)
@@ -315,7 +323,7 @@ class TestTrainingLoop:
             return out
 
         broken = dataclasses.replace(base, name="broken", jacobian_batch=saturated)
-        suite = ProblemSuite("pair", (get_problem("zdt2"), broken))
+        suite = ProblemSuite((get_problem("zdt2"), broken))
         cfg = tiny_config(iterations=5, batch_size=5)
         with pytest.raises(TrainingDivergedError) as caught:
             train_copsl(cfg, suite)
@@ -521,7 +529,7 @@ class TestRecordFiles:
         # Without a closed-form front a problem has no log HV gap; its cell
         # reads as csv_float formats None.
         frontless = dataclasses.replace(get_problem("zdt2"), name="frontless", front_hypervolume=None)
-        suite = ProblemSuite("mixed", (get_problem("zdt1"), frontless))
+        suite = ProblemSuite((get_problem("zdt1"), frontless))
         _, rec = train_copsl(tiny_config(iterations=2, eval_interval=2), suite)
         path = tmp_path / "eval.csv"
         write_eval_csv(rec, str(path))
@@ -584,25 +592,33 @@ class TestAblation:
 class TestRunBatch:
     def test_statistics_over_seeds(self, tmp_path):
         cfg = tiny_config(iterations=4)
-        s = run_batch(cfg, seeds=(0, 1, 2), out_dir=str(tmp_path))
-        assert len(s["records"]) == 3
-        assert len(s["mean_final_hv"]) == 2
+        records, failures = run_batch(cfg, seeds=(0, 1, 2), out_dir=str(tmp_path))
+        assert failures == []
+        assert [record.config["seed"] for record in records] == [0, 1, 2]
+        assert all(len(record.hv[-1]) == 2 for record in records)
         assert (tmp_path / "run_seed1.json").exists()
         assert (tmp_path / "losses_seed2.csv").exists()
         assert (tmp_path / "model_seed0.ckpt").exists()
 
-    def test_single_seed_zero_std(self):
-        cfg = tiny_config(iterations=3)
-        s = run_batch(cfg, seeds=(5,))
-        assert s["std_final_hv"] == [0.0, 0.0]
-        assert s["std_wall_seconds"] == 0.0
+    def test_single_seed_zero_std(self, tmp_path, capsys):
+        # copsl run prints each problem's mean and std of final HV over the runs.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(iterations=3).to_dict()))
+        assert cli_main(["run", "--config", str(path), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["zdt1", "zdt2"]
+        assert all(line.endswith(" +- 0 over 1 run(s)") for line in lines)
 
     def test_rerun_reproduces_aggregates(self):
         cfg = tiny_config(iterations=4)
-        a = run_batch(cfg, seeds=(0, 1))
-        b = run_batch(cfg, seeds=(0, 1))
-        assert a["mean_final_hv"] == b["mean_final_hv"]
-        assert a["std_final_hv"] == b["std_final_hv"]
+        a, _ = run_batch(cfg, seeds=(0, 1))
+        b, _ = run_batch(cfg, seeds=(0, 1))
+        assert [record.hv for record in a] == [record.hv for record in b]
+
+    def test_repeated_seed_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ConfigurationError, match="^a batch cannot repeat a seed, got 1 more than once$"):
+            run_batch(tiny_config(), seeds=(1, 2, np.int64(1)))
 
     def test_numpy_integer_seeds_write_the_same_bytes(self, tmp_path):
         # NumPy integers are stored as Python ints, so every artifact, the
@@ -610,8 +626,9 @@ class TestRunBatch:
         cfg = tiny_config(iterations=3)
         plain, numpy_seeds = tmp_path / "plain", tmp_path / "numpy"
         run_batch(cfg, seeds=[0, 1], out_dir=str(plain))
-        summary = run_batch(cfg, seeds=np.arange(2), out_dir=str(numpy_seeds))
-        assert summary["seeds"] == [0, 1] and all(type(seed) is int for seed in summary["seeds"])
+        records, _ = run_batch(cfg, seeds=np.arange(2), out_dir=str(numpy_seeds))
+        seeds = [record.config["seed"] for record in records]
+        assert seeds == [0, 1] and all(type(seed) is int for seed in seeds)
         assert_same_artifacts(plain, numpy_seeds)
 
     def test_numpy_float_fields_write_the_same_bytes(self, tmp_path):
@@ -624,7 +641,7 @@ class TestRunBatch:
 
     def test_failure_is_recorded(self, nan_problem):
         cfg = tiny_config(suite=("zdt1", nan_problem))  # diverges at iteration 1
-        s = run_batch(cfg, seeds=(0,))
-        assert s["records"] == []
-        assert len(s["failures"]) == 1
-        assert "MOP 'zdt1-nan' (index 1) at iteration 1" in s["failures"][0]["error"]
+        records, failures = run_batch(cfg, seeds=(0,))
+        assert records == []
+        assert len(failures) == 1
+        assert "MOP 'zdt1-nan' (index 1) at iteration 1" in failures[0]["error"]
