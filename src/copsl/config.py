@@ -53,6 +53,10 @@ def _at_least(bound):
     return (f"be >= {bound}", lambda value: value >= bound)
 
 
+def _each(requirement, test):
+    return (requirement, lambda values: values is None or all(map(test, values)))
+
+
 # A kind is (requirement, test, store): a value that fails ``test`` is
 # rejected as "<field> must <requirement>", and one that passes is kept as
 # ``store(value)``, a plain Python value, since a NumPy scalar would not
@@ -69,6 +73,7 @@ _OPTIONAL_REALS = (
 )
 _SUITE = ("", lambda value: True, lambda value: tuple(value) if isinstance(value, (list, tuple)) else value)
 _UNIT_INTERVAL = ("lie in [0, 1)", lambda value: 0.0 <= value < 1.0)
+_POSITIVE = ("be finite and positive", lambda value: 0.0 < value < math.inf)
 
 # One rule per field, in field order: its kind, and the range the config owns
 # (None where a domain type owns it, or where any value of the kind will do).
@@ -80,12 +85,12 @@ _RULES = {
     "cosmos_sign": (_INTEGER, None),
     "iterations": (_INTEGER, _at_least(1)),
     "batch_size": (_INTEGER, _at_least(1)),
-    "learning_rate": (_REAL, ("be finite and positive", lambda value: 0.0 < value < math.inf)),
+    "learning_rate": (_REAL, _POSITIVE),
     "adam_beta1": (_REAL, _UNIT_INTERVAL),
     "adam_beta2": (_REAL, _UNIT_INTERVAL),
-    "adam_epsilon": (_REAL, ("be finite and positive", lambda value: 0.0 < value < math.inf)),
-    "dirichlet_alpha": (_OPTIONAL_REALS, None),
-    "weights": (_OPTIONAL_REALS, None),
+    "adam_epsilon": (_REAL, _POSITIVE),
+    "dirichlet_alpha": (_OPTIONAL_REALS, _each(*_POSITIVE)),
+    "weights": (_OPTIONAL_REALS, _each("be finite and nonnegative", lambda value: 0.0 <= value < math.inf)),
     "hidden_sizes": (_INTEGERS, None),
     "shared_depth": (_INTEGER, None),
     "seed": (_INTEGER, _at_least(0)),
@@ -167,13 +172,9 @@ class RunConfig:
         weights = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (k,):
             raise ConfigurationError(f"expected {k} MOP weights, got {weights.shape[0]}")
-        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
-            raise ConfigurationError(f"MOP weights must be finite and nonnegative, got {weights.tolist()}")
         alpha = np.ones(m) if self.dirichlet_alpha is None else np.asarray(self.dirichlet_alpha, dtype=np.float64)
         if alpha.shape != (m,):
             raise ConfigurationError(f"expected {m} Dirichlet parameters, got {alpha.shape[0]}")
-        if not (np.isfinite(alpha).all() and (alpha > 0.0).all()):
-            raise ConfigurationError(f"Dirichlet parameters must be finite and positive, got {alpha.tolist()}")
         arch = ModelArchitecture(
             num_objectives=m,
             hidden_sizes=self.hidden_sizes,

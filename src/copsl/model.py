@@ -74,14 +74,6 @@ class ModelArchitecture:
     def num_mops(self) -> int:
         return len(self.output_dims)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelArchitecture":
-        """The architecture a JSON object of exactly its four fields describes."""
-        try:
-            return cls(**data)
-        except TypeError as exc:  # not an object, or a field missing or unknown
-            raise ConfigurationError(f"malformed architecture description: {exc}") from exc
-
 
 @functools.lru_cache(maxsize=64)
 def param_layout(arch: ModelArchitecture) -> tuple[DenseLayer, ...]:
@@ -327,8 +319,8 @@ def _read_checkpoint(handle, path: str) -> tuple[CoPslModel, dict]:
             f"unsupported checkpoint version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
         )
     try:
-        arch = ModelArchitecture.from_dict(header["architecture"])
-    except (KeyError, ConfigurationError) as exc:
+        arch = ModelArchitecture(**header["architecture"])
+    except (KeyError, TypeError, ConfigurationError) as exc:  # TypeError: not an object of exactly its four fields
         raise CheckpointError(f"checkpoint architecture is invalid: {exc}") from exc
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):

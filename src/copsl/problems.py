@@ -341,28 +341,21 @@ def _make_zdt_problem(name: str, shape: str, g_fn) -> MopDefinition:
 
 
 def _make_dtlz2() -> MopDefinition:
-    def evaluate_batch(x: np.ndarray) -> np.ndarray:
-        a1 = x[:, 0] * (math.pi / 2.0)
-        a2 = x[:, 1] * (math.pi / 2.0)
-        g = ((x[:, 2:] - 0.5) ** 2).sum(axis=1)
-        scale = 1.0 + g
-        return np.column_stack(
-            [
-                scale * np.cos(a1) * np.cos(a2),
-                scale * np.cos(a1) * np.sin(a2),
-                scale * np.sin(a1),
-            ]
-        )
+    half_pi = math.pi / 2.0
 
-    def jacobian_batch(x: np.ndarray) -> np.ndarray:
-        half_pi = math.pi / 2.0
+    def terms(x: np.ndarray):
+        """cos and sin of both angles, the centred tail and the radius 1 + g."""
         a1 = x[:, 0] * half_pi
         a2 = x[:, 1] * half_pi
         tail = x[:, 2:] - 0.5
-        g = (tail**2).sum(axis=1)
-        scale = 1.0 + g
-        c1, s1 = np.cos(a1), np.sin(a1)
-        c2, s2 = np.cos(a2), np.sin(a2)
+        return np.cos(a1), np.sin(a1), np.cos(a2), np.sin(a2), tail, 1.0 + (tail**2).sum(axis=1)
+
+    def evaluate_batch(x: np.ndarray) -> np.ndarray:
+        c1, s1, c2, s2, _, scale = terms(x)
+        return np.column_stack([scale * c1 * c2, scale * c1 * s2, scale * s1])
+
+    def jacobian_batch(x: np.ndarray) -> np.ndarray:
+        c1, s1, c2, s2, tail, scale = terms(x)
         jac = np.zeros((x.shape[0], 3, x.shape[1]), dtype=np.float64)
         jac[:, 0, 0] = -scale * half_pi * s1 * c2
         jac[:, 0, 1] = -scale * half_pi * c1 * s2

@@ -350,10 +350,14 @@ class TestFront:
             ),
             (
                 '{"num_objectives": 2, "hidden_sizes": [8, 8], "shared_depth": 1, "output_dims": [6], "heads": 1}',
-                "malformed architecture description: ModelArchitecture.__init__() got an unexpected keyword argument 'heads'",
+                "ModelArchitecture.__init__() got an unexpected keyword argument 'heads'",
+            ),
+            (
+                '[2, [8, 8], 1, [6]]',
+                "copsl.model.ModelArchitecture() argument after ** must be a mapping, not list",
             ),
         ],
-        ids=["mixed-kinds", "float-sizes", "unknown-field"],
+        ids=["mixed-kinds", "float-sizes", "unknown-field", "list"],
     )
     def test_malformed_architecture_exits_2(self, tmp_path, capsys, architecture, message):
         # Each header describes, once converted, the model whose body follows;

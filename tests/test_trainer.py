@@ -209,10 +209,10 @@ class TestConfig:
         [
             (dict(hidden_sizes=(8,), shared_depth=3), r"shared_depth must lie in \[0, 1\], got 3"),
             (dict(weights=(1.0,)), "expected 2 MOP weights, got 1"),
-            (dict(weights=(1.0, -1.0)), "MOP weights must be finite and nonnegative"),
-            (dict(weights=(1.0, float("nan"))), "MOP weights must be finite and nonnegative"),
+            (dict(weights=(1.0, 1.0, 1.0)), "expected 2 MOP weights, got 3"),
+            (dict(shared_depth=-1), r"shared_depth must lie in \[0, 2\], got -1"),
             (dict(dirichlet_alpha=(1.0, 1.0, 1.0)), "expected 2 Dirichlet parameters, got 3"),
-            (dict(dirichlet_alpha=(1.0, 0.0)), "Dirichlet parameters must be finite and positive"),
+            (dict(dirichlet_alpha=(1.0,)), "expected 2 Dirichlet parameters, got 1"),
             (dict(eval_grid=1), "grid needs at least 2 points, got 1"),
         ],
     )
@@ -225,6 +225,24 @@ class TestConfig:
         monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
         with pytest.raises(ConfigurationError, match=message):
             run_batch(config, seeds=(0, 1))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("weights", (1.0, -1.0), r"weights must be finite and nonnegative, got \[1\.0, -1\.0\]"),
+            ("weights", (1.0, float("nan")), r"weights must be finite and nonnegative, got \[1\.0, nan\]"),
+            ("dirichlet_alpha", (1.0, 0.0), r"dirichlet_alpha must be finite and positive, got \[1\.0, 0\.0\]"),
+            ("dirichlet_alpha", (float("inf"), 1.0), r"dirichlet_alpha must be finite and positive, got \[inf, 1\.0\]"),
+        ],
+        ids=["negative-weight", "nan-weight", "zero-alpha", "infinite-alpha"],
+    )
+    def test_weight_and_alpha_ranges_refused_when_built(self, key, value, message):
+        # Ranges the config owns, so they need no suite: refused before one is built.
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            tiny_config(**{key: value})
+        data = tiny_config().to_dict() | {key: list(value)}
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            RunConfig.from_dict(data)
 
 
 class TestTrainingLoop:
