@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelArchitecture
-from .problems import ProblemSuite, suite_from_spec
+from .problems import ProblemSuite, _suite_names, suite_from_spec
 from .sampling import uniform_preference_grid
 from .scalarize import LossSpec
 
@@ -163,11 +163,16 @@ class RunConfig:
     def check_suite(self, suite: ProblemSuite) -> tuple[ModelArchitecture, np.ndarray, np.ndarray, np.ndarray]:
         """Check the config against the problems it trains, before any training.
 
-        Returns the model architecture (which checks ``shared_depth`` against
-        ``hidden_sizes``), the per-problem weights, the Dirichlet parameters
+        The suite must be the one ``suite`` names, problem for problem, so
+        that the run's record reruns it. Returns the model architecture
+        (which checks ``shared_depth`` against ``hidden_sizes``, and the
+        model's size), the per-problem weights, the Dirichlet parameters
         and the evaluation grid; raises :class:`ConfigurationError` naming
         the first mismatch.
         """
+        given, named = [mop.name for mop in suite.problems], _suite_names(self.suite)
+        if given != named:
+            raise ConfigurationError(f"the suite given, {given}, is not the one the config names, {named}")
         k, m = suite.num_mops, suite.num_objectives
         weights = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (k,):

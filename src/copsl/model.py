@@ -69,6 +69,8 @@ class ModelArchitecture:
             raise ConfigurationError(
                 f"shared_depth must lie in [0, {len(self.hidden_sizes)}], got {self.shared_depth}"
             )
+        if 8 * _size(self) > np.iinfo(np.intp).max:  # the count is not shown: it may pass repr's digit limit
+            raise ConfigurationError("the model is too large: its parameters would not fit in one float64 array")
 
     @property
     def num_mops(self) -> int:

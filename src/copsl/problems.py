@@ -141,13 +141,29 @@ class MopDefinition:
             raise InputError(f"{self.name}: point not finite or outside the box bounds")
         return arr
 
+    def _returned(self, field_name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+        try:
+            out = np.asarray(value, dtype=np.float64)  # the very array when it is float64 already
+        except (TypeError, ValueError) as exc:  # not numbers, or ragged
+            raise ConfigurationError(f"problem '{self.name}': {field_name} returned no array of numbers: {exc}") from exc
+        if out.shape != shape:
+            raise ConfigurationError(f"problem '{self.name}': {field_name} returned shape {out.shape}, expected {shape}")
+        return out
+
     def evaluate(self, x) -> np.ndarray:
         """Objective values, (N, m), at the rows of an (N, n) decision matrix."""
-        return self.evaluate_batch(self._prepare(x))
+        x = self._prepare(x)
+        return self._returned("evaluate_batch", self.evaluate_batch(x), (x.shape[0], self.num_objectives))
 
     def jacobian(self, x) -> np.ndarray:
-        """Jacobians dF/dx, (N, m, n), at the rows of an (N, n) decision matrix."""
-        return self.jacobian_batch(self._prepare(x))
+        """Jacobians dF/dx, (N, m, n), at the rows of an (N, n) decision matrix.
+
+        Only the shape is checked here: a transposed square Jacobian keeps
+        its shape, and :func:`jacobian_check` is what finds it.
+        """
+        x = self._prepare(x)
+        shape = (x.shape[0], self.num_objectives, self.num_variables)
+        return self._returned("jacobian_batch", self.jacobian_batch(x), shape)
 
 
 @dataclass(frozen=True)
@@ -435,13 +451,13 @@ def suite_from_names(names) -> ProblemSuite:
     return ProblemSuite(tuple(get_problem(n) for n in names))
 
 
-def suite_from_spec(spec) -> ProblemSuite:
-    """The suite a config, a checkpoint or ``copsl front --suite`` names: a
-    built-in suite's name, a string of one or more comma-separated problem
-    names, or a list or tuple of registered problem names."""
+def _suite_names(spec) -> list[str]:
+    """The problem names a suite spec lists, in order, without building the
+    suite: a built-in suite's members, a string's comma-separated names, or
+    a list's entries."""
     if isinstance(spec, str):
         if spec in BUILTIN_SUITES:
-            return builtin_suite(spec)
+            return list(BUILTIN_SUITES[spec])
         spec = [name.strip() for name in spec.split(",")]
         unknown = [name for name in spec if name not in _REGISTRY]
         if unknown:
@@ -450,9 +466,16 @@ def suite_from_spec(spec) -> ProblemSuite:
                 f"({' or '.join(map(repr, BUILTIN_SUITES))}) or registered problems {sorted(_REGISTRY)}"
             )
     if isinstance(spec, (list, tuple)) and all(isinstance(name, str) for name in spec):
-        return suite_from_names(spec)
+        return list(spec)
     shown = list(spec) if isinstance(spec, tuple) else spec  # the JSON list a config holds
     raise ConfigurationError(f"suite must be a suite name or a list of problem names, got {shown!r}")
+
+
+def suite_from_spec(spec) -> ProblemSuite:
+    """The suite a config, a checkpoint or ``copsl front --suite`` names: a
+    built-in suite's name, a string of one or more comma-separated problem
+    names, or a list or tuple of registered problem names."""
+    return suite_from_names(_suite_names(spec))
 
 
 def _register_builtins() -> None:

@@ -15,6 +15,8 @@ from copsl.model import ModelArchitecture, build_model, save_checkpoint
 from copsl.problems import BoxBounds, MopDefinition, jacobian_check, register_problem
 from copsl.sampling import RngStream
 
+TOO_LARGE = "the model is too large: its parameters would not fit in one float64 array"
+
 
 def write_config(path, **overrides):
     data = {"config_version": CONFIG_VERSION}
@@ -101,6 +103,9 @@ class TestRun:
             pytest.param({"gamma": 10**400}, f"gamma must be a real number, got {10**400}", id="gamma-401-digits"),
             ({"adam_epsilon": math.inf}, "adam_epsilon must be finite and positive, got inf"),
             ({"suite": "zdt1,zdt1"}, "a problem suite cannot repeat a problem, got 'zdt1' more than once"),
+            ({"weights": [1.0, -1.0]}, "weights must be finite and nonnegative, got [1.0, -1.0]"),
+            ({"dirichlet_alpha": [1.0, 0.0]}, "dirichlet_alpha must be finite and positive, got [1.0, 0.0]"),
+            pytest.param({"hidden_sizes": [10**20]}, TOO_LARGE, id="hidden-size-1e20"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
@@ -203,6 +208,7 @@ class TestAblate:
             ({"weights": [1.0]}, "expected 2 MOP weights, got 1"),
             ({"epsilon": True}, "epsilon must be a real number, got True"),
             ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
+            ({"hidden_sizes": [10**20, 8]}, TOO_LARGE),
         ]
         for case, (overrides, message) in enumerate(cases):
             config = write_config(tmp_path / f"c{case}.json", **overrides)

@@ -188,11 +188,75 @@ class TestJacobians:
         corrupted = dataclasses.replace(mop, jacobian_batch=broken)
         assert jacobian_check(corrupted, 50, RngStream(18)) > 1e-3
 
+    def test_transposed_square_jacobian_found_by_the_check(self):
+        # With m == n a transposed Jacobian keeps its shape, so only the check against differences finds it.
+        square = dataclasses.replace(get_problem("zdt1"), name="zdt1-square", bounds=unit_box(2))
+        transposed = dataclasses.replace(square, jacobian_batch=lambda x: square.jacobian_batch(x).transpose(0, 2, 1))
+        assert jacobian_check(square, 50, RngStream(20)) <= 1e-5
+        assert transposed.jacobian(np.full((3, 2), 0.5)).shape == (3, 2, 2)
+        assert jacobian_check(transposed, 50, RngStream(20)) > 1e-3
+
     def test_finite_difference_fallback_shape(self):
         mop = get_problem("zdt1")
         x = RngStream(19).random((4, 6))
         jac = finite_difference_jacobian(mop.evaluate_batch, x)
         assert jac.shape == (4, 2, 6)
+
+
+def _misshapen(array: np.ndarray, how: str) -> np.ndarray:
+    if how == "truncated":
+        return array[:, :-1]
+    if how == "flattened":
+        return array.ravel()
+    if how == "transposed":
+        return np.swapaxes(array, -2, -1)
+    return np.concatenate([array, array[:, :1]], axis=1)  # padded with one more objective
+
+
+class TestReturnedShapes:
+    """What a problem's callables return is checked by shape, and named by problem and callable."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["zdt1", "dtlz2"]),
+        st.sampled_from(["evaluate_batch", "jacobian_batch"]),
+        st.sampled_from(["truncated", "flattened", "transposed", "padded"]),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_wrong_shape_raises_naming_the_problem(self, name, field, how, rows, seed):
+        base = get_problem(name)
+        x = np.random.default_rng(seed).random((rows, base.num_variables))
+        right = getattr(base, field)(x)
+        wrong = _misshapen(right, how)
+        if wrong.shape == right.shape:  # a transposed square matrix keeps its shape
+            return
+        returned = []
+
+        def misshapen(points):
+            return _misshapen(getattr(base, field)(points), how)
+
+        def passthrough(points):
+            returned.append(getattr(base, field)(points))
+            return returned[-1]
+
+        broken = dataclasses.replace(base, name=f"{name}-{how}", **{field: misshapen})
+        with pytest.raises(ConfigurationError) as caught:
+            getattr(broken, field.removesuffix("_batch"))(x)
+        assert str(caught.value) == f"problem '{name}-{how}': {field} returned shape {wrong.shape}, expected {right.shape}"
+
+        result = getattr(dataclasses.replace(base, **{field: passthrough}), field.removesuffix("_batch"))(x)
+        assert result is returned[-1]
+        assert result.tobytes() == right.tobytes()
+
+
+    @pytest.mark.parametrize(
+        "returned", [lambda x: [["a", "b"]] * len(x), lambda x: [[1.0]] + [[1.0, 2.0]] * (len(x) - 1), lambda x: None]
+    )
+    def test_no_array_of_numbers_raises_naming_the_problem(self, returned):
+        broken = dataclasses.replace(get_problem("zdt1"), name="no-array", evaluate_batch=returned)
+        with pytest.raises(ConfigurationError, match="^problem 'no-array': evaluate_batch returned "):
+            broken.evaluate(np.full((2, 6), 0.5))
 
 
 class TestFrontHypervolume:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ def tiny_config(**overrides):
 
 
 ZDT_PAIR = suite_from_names(["zdt1", "zdt2"])
+TOO_LARGE = "the model is too large: its parameters would not fit in one float64 array"
 
 # Each config field by the kind of value it takes: its valid values, each
 # possibly a NumPy scalar, and the Python type a stored value has.
@@ -214,6 +216,8 @@ class TestConfig:
             (dict(dirichlet_alpha=(1.0, 1.0, 1.0)), "expected 2 Dirichlet parameters, got 3"),
             (dict(dirichlet_alpha=(1.0,)), "expected 2 Dirichlet parameters, got 1"),
             (dict(eval_grid=1), "grid needs at least 2 points, got 1"),
+            (dict(hidden_sizes=(10**20,)), TOO_LARGE),
+            (dict(hidden_sizes=(10**5000, 8)), TOO_LARGE),
         ],
     )
     def test_suite_mismatch_raises_before_any_training(self, monkeypatch, overrides, message):
@@ -225,6 +229,27 @@ class TestConfig:
         monkeypatch.setattr(trainer_mod, "train_copsl", lambda *args: pytest.fail("a run started"))
         with pytest.raises(ConfigurationError, match=message):
             run_batch(config, seeds=(0, 1))
+
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            ("zdt1", ["zdt2"]),
+            ("synthetic-2d", ["zdt1", "zdt2"]),
+            ("zdt1, zdt2", ["zdt2", "zdt1"]),
+            (("zdt1", "zdt2"), ["zdt1"]),
+        ],
+    )
+    def test_suite_other_than_the_named_one_raises_before_building(self, monkeypatch, spec, names):
+        # The record's config must rerun the run, so it must name the problems trained.
+        monkeypatch.setattr(trainer_mod, "build_model", lambda *args: pytest.fail("a model was built"))
+        message = f"the suite given, {names}, is not the one the config names"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            train_copsl(tiny_config(suite=spec), suite_from_names(names))
+
+    @pytest.mark.parametrize("spec", ["zdt1, zdt2", "zdt1,zdt2", ["zdt1", "zdt2"]])
+    def test_suite_the_config_names_trains(self, spec):
+        _, record = train_copsl(tiny_config(suite=spec, iterations=2), ZDT_PAIR)
+        assert record.mop_names == ["zdt1", "zdt2"]
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -307,7 +332,7 @@ class TestTrainingLoop:
             jacobian_batch=counting_jacobian,
         )
         suite = ProblemSuite((counted,))
-        cfg = tiny_config(suite=("zdt1",), iterations=7, batch_size=5, eval_interval=100)
+        cfg = tiny_config(suite=("zdt1-counted",), iterations=7, batch_size=5, eval_interval=100)
         train_copsl(cfg, suite)
         # 7 training batches of 5 rows plus 2 evaluation passes (steps 0, 7)
         # of grid size 10; jacobians only on training batches.
@@ -326,7 +351,7 @@ class TestTrainingLoop:
 
         broken = dataclasses.replace(base, name="broken", evaluate_batch=exploding)
         suite = ProblemSuite((broken,))
-        cfg = tiny_config(suite=("zdt1",), iterations=5, batch_size=5)
+        cfg = tiny_config(suite=("broken",), iterations=5, batch_size=5)
         with pytest.raises(TrainingDivergedError, match="broken.*iteration 1"):
             train_copsl(cfg, suite)
 
@@ -342,7 +367,7 @@ class TestTrainingLoop:
 
         broken = dataclasses.replace(base, name="broken", jacobian_batch=saturated)
         suite = ProblemSuite((get_problem("zdt2"), broken))
-        cfg = tiny_config(iterations=5, batch_size=5)
+        cfg = tiny_config(suite=("zdt2", "broken"), iterations=5, batch_size=5)
         with pytest.raises(TrainingDivergedError) as caught:
             train_copsl(cfg, suite)
         message = str(caught.value)
@@ -548,7 +573,7 @@ class TestRecordFiles:
         # reads as csv_float formats None.
         frontless = dataclasses.replace(get_problem("zdt2"), name="frontless", front_hypervolume=None)
         suite = ProblemSuite((get_problem("zdt1"), frontless))
-        _, rec = train_copsl(tiny_config(iterations=2, eval_interval=2), suite)
+        _, rec = train_copsl(tiny_config(suite=("zdt1", "frontless"), iterations=2, eval_interval=2), suite)
         path = tmp_path / "eval.csv"
         write_eval_csv(rec, str(path))
         expected = [
