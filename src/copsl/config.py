@@ -27,8 +27,6 @@ from .scalarize import LossSpec
 
 CONFIG_VERSION = 1
 
-IDEAL_UPDATE_MODES = ("before-loss", "after-loss")
-
 
 def _number(kind):
     return lambda value: isinstance(value, kind) and not isinstance(value, bool)  # no number field takes a bool
@@ -82,7 +80,6 @@ _RULES = {
     "loss": (_STRING, None),
     "gamma": (_REAL, None),
     "epsilon": (_REAL, None),
-    "cosmos_sign": (_INTEGER, None),
     "iterations": (_INTEGER, _at_least(1)),
     "batch_size": (_INTEGER, _at_least(1)),
     "learning_rate": (_REAL, _POSITIVE),
@@ -96,7 +93,6 @@ _RULES = {
     "seed": (_INTEGER, _at_least(0)),
     "eval_grid": (_INTEGER, _at_least(0)),
     "eval_interval": (_INTEGER, _at_least(1)),
-    "ideal_update": (_STRING, (f"be one of {IDEAL_UPDATE_MODES}", lambda value: value in IDEAL_UPDATE_MODES)),
     "strict_weight_gating": (_BOOL, None),
     "trace_params": (_BOOL, None),
 }
@@ -131,7 +127,6 @@ class RunConfig:
     loss: str = "tch"
     gamma: float = 100.0
     epsilon: float = 1e-3
-    cosmos_sign: int = -1
     iterations: int = 500
     batch_size: int = 15
     learning_rate: float = 1e-3
@@ -145,7 +140,6 @@ class RunConfig:
     seed: int = 0
     eval_grid: int = 0
     eval_interval: int = 10
-    ideal_update: str = "before-loss"
     strict_weight_gating: bool = False
     trace_params: bool = False
 
@@ -190,7 +184,7 @@ class RunConfig:
         return arch, weights, alpha, grid
 
     def loss_spec(self) -> LossSpec:
-        return LossSpec(kind=self.loss, gamma=self.gamma, epsilon=self.epsilon, cosine_sign=self.cosmos_sign)
+        return LossSpec(kind=self.loss, gamma=self.gamma, epsilon=self.epsilon)
 
     def resolve_suite(self) -> ProblemSuite:
         return suite_from_spec(self.suite)

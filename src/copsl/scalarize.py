@@ -4,7 +4,7 @@
 training scalar, by one of four kinds that :class:`LossSpec` selects:
 
     ls      linear scalarization          sum_j p_j F_j
-    cosmos  ls plus a cosine-similarity term between p and F
+    cosmos  ls minus a cosine term        sum_j p_j F_j - gamma cos(p, F)
     tch     weighted worst-case deviation from the running ideal point
     mtch    the same with reciprocal preference weights
 
@@ -29,15 +29,13 @@ LOSS_KINDS = ("ls", "cosmos", "tch", "mtch")
 class LossSpec:
     """Which scalarization to use, with its hyperparameters.
 
-    ``cosine_sign`` controls whether the cosine term is added (+1) or
-    subtracted (-1). Subtracting rewards alignment between the preference and
-    the objective vector and is the default; both behaviors are available.
+    ``cosmos`` is ``ls - gamma * cos(p, F)``: subtracting the cosine rewards
+    alignment between the preference and the objective vector.
     """
 
     kind: str
     gamma: float = 100.0
     epsilon: float = 1e-3
-    cosine_sign: int = -1
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -49,8 +47,6 @@ class LossSpec:
             raise ConfigurationError(f"cosmos penalty gamma must be positive, got {self.gamma}")
         if self.kind in ("tch", "mtch") and not self.epsilon > 0.0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.cosine_sign not in (-1, 1):
-            raise ConfigurationError(f"cosine_sign must be +1 or -1, got {self.cosine_sign}")
 
 
 class IdealPointTracker:
@@ -79,7 +75,7 @@ def _linear(spec: LossSpec, f, p, z):
 
 
 def _cosmos(spec: LossSpec, f, p, z):
-    """Linear scalarization plus sign * gamma * cos(p, F).
+    """Linear scalarization minus gamma * cos(p, F).
 
     A zero-norm F makes the cosine direction degenerate; the term and its
     gradient are defined as 0 there.
@@ -91,10 +87,10 @@ def _cosmos(spec: LossSpec, f, p, z):
     denom = np.where(ok, norm_p * norm_f, 1.0)
     safe_norm_f = np.where(ok, norm_f, 1.0)
     cos = np.where(ok, dot / denom, 0.0)
-    values = dot + spec.cosine_sign * spec.gamma * cos
+    values = dot - spec.gamma * cos
     # d cos / dF = p / (|p||F|) - (p.F) F / (|p||F|^3)
     cos_grad = p / denom[:, None] - (dot / (denom * safe_norm_f**2))[:, None] * f
-    grads = p + spec.cosine_sign * spec.gamma * np.where(ok[:, None], cos_grad, 0.0)
+    grads = p - spec.gamma * np.where(ok[:, None], cos_grad, 0.0)
     return values, grads
 
 

@@ -196,13 +196,8 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
             if not np.isfinite(objectives).all():
                 raise _diverged("objective values", mop, i, iteration)
             jacobians = mop.jacobian(x)
-            if config.ideal_update == "before-loss" or iteration == 1:
-                # The first batch always seeds the tracker, otherwise the
-                # +inf sentinel would reach the loss.
-                tracker.update(i, objectives)
+            tracker.update(i, objectives)
             loss_value, objective_grads = batch_loss(spec, objectives, prefs, tracker.ideal(i))
-            if config.ideal_update == "after-loss":
-                tracker.update(i, objectives)
             if not np.isfinite(loss_value):
                 raise _diverged(f"loss {loss_value}", mop, i, iteration)
             decision_grads = chain_to_decision(objective_grads, jacobians, mop.bounds.widths)

@@ -12,10 +12,10 @@ promise unchanged output compare digests between the parent and the change.
 The set covers:
 - acceptance criterion 9's training config, seeds 0-9 (loss and eval CSVs,
   checkpoints);
-- a ``dtlz2`` run and seven short runs of the default suite (default, gated
-  weights, fully separate, ``cosmos`` with shared depth 2, ``ls``, ``mtch``
-  with a Dirichlet alpha of 0.5, and the ideal point updated after the loss),
-  each with its per-iteration parameter trace;
+- a ``dtlz2`` run and six short runs of the default suite (default, gated
+  weights, fully separate, ``cosmos`` with shared depth 2, ``ls``, and
+  ``mtch`` with a Dirichlet alpha of 0.5), each with its per-iteration
+  parameter trace;
 - three ablations: zdt1+zdt2, the default suite with ``cosmos``, and a config
   that fails (``weights`` of the wrong length, a configuration error);
 - ``copsl front`` and ``copsl hv`` at a small and a large front size on a
@@ -85,7 +85,6 @@ RUNS = {
     "cosmos2": ({**BASE, "shared_depth": 2, "loss": "cosmos", "iterations": 40, "trace_params": True}, [4]),
     "ls": ({**BASE, "loss": "ls", "trace_params": True}, [5]),
     "mtch": ({**BASE, "loss": "mtch", "dirichlet_alpha": [0.5, 0.5], "trace_params": True}, [6]),
-    "afterloss": ({**BASE, "ideal_update": "after-loss", "trace_params": True}, [7]),
     "baddepth": ({**BASE, "hidden_sizes": [8], "shared_depth": 3}, [0]),
 }
 

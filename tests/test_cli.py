@@ -106,6 +106,8 @@ class TestRun:
             ({"weights": [1.0, -1.0]}, "weights must be finite and nonnegative, got [1.0, -1.0]"),
             ({"dirichlet_alpha": [1.0, 0.0]}, "dirichlet_alpha must be finite and positive, got [1.0, 0.0]"),
             pytest.param({"hidden_sizes": [10**20]}, TOO_LARGE, id="hidden-size-1e20"),
+            ({"cosmos_sign": -1}, "unknown config keys: ['cosmos_sign']"),
+            ({"ideal_update": "before-loss"}, "unknown config keys: ['ideal_update']"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):

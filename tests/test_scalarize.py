@@ -29,8 +29,8 @@ def one_row(spec, f, p, z=None):
     return value, grads[0]
 
 
-def cosmos(gamma, sign):
-    return LossSpec("cosmos", gamma=gamma, cosine_sign=sign)
+def cosmos(gamma):
+    return LossSpec("cosmos", gamma=gamma)
 
 
 class TestLinear:
@@ -51,19 +51,17 @@ class TestLinear:
 class TestCosmos:
     def test_parallel_vectors(self):
         p = np.array([0.6, 0.4])
-        for sign in (-1, 1):
-            value, _ = one_row(cosmos(100.0, sign), p.copy(), p)
-            assert value == pytest.approx(0.52 + sign * 100.0)
+        value, _ = one_row(cosmos(100.0), p.copy(), p)
+        assert value == pytest.approx(0.52 - 100.0)
 
     def test_zero_objective_degenerates_to_linear(self):
-        value, grad = one_row(cosmos(10.0, -1), np.zeros(2), [0.3, 0.7])
+        value, grad = one_row(cosmos(10.0), np.zeros(2), [0.3, 0.7])
         assert value == pytest.approx(0.0)
         assert np.array_equal(grad, [0.3, 0.7])
 
-    @pytest.mark.parametrize("sign", [-1, 1])
-    def test_gradient_matches_finite_differences(self, sign):
+    def test_gradient_matches_finite_differences(self):
         rng = RngStream(21)
-        spec = cosmos(7.0, sign)
+        spec = cosmos(7.0)
         for _ in range(10):
             f = rng.random(3) * 2.0 + 0.2
             p = rng.random(3) + 0.1
@@ -351,10 +349,6 @@ class TestLossSpec:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ConfigurationError):
             LossSpec("tch", epsilon=-1.0)
-
-    def test_rejects_bad_sign(self):
-        with pytest.raises(ConfigurationError):
-            LossSpec("cosmos", cosine_sign=2)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_rejects_nonfinite_hyperparameters(self, kind):

@@ -63,7 +63,6 @@ CONFIG_FIELDS = {
     "loss": ("string", st.sampled_from(LOSS_KINDS), str),
     "gamma": ("real", _or_numpy(st.floats(0.5, 1e3), np.float32, np.float64), float),
     "epsilon": ("real", _or_numpy(st.floats(1e-6, 1.0), np.float32), float),
-    "cosmos_sign": ("integer", _or_numpy(st.sampled_from([-1, 1]), np.int8, np.int64), int),
     "iterations": ("integer", _or_numpy(_INTEGER, np.uint64), int),
     "batch_size": ("integer", _or_numpy(_INTEGER, np.int64), int),
     "learning_rate": ("real", _or_numpy(st.floats(1e-6, 1.0), np.float32), float),
@@ -77,7 +76,6 @@ CONFIG_FIELDS = {
     "seed": ("integer", _or_numpy(st.integers(0, 2**63 - 1), np.int64), int),
     "eval_grid": ("integer", _or_numpy(st.integers(0, 500), np.int32), int),
     "eval_interval": ("integer", _or_numpy(_INTEGER, np.int64), int),
-    "ideal_update": ("string", st.sampled_from(["before-loss", "after-loss"]), str),
     "strict_weight_gating": ("bool", _or_numpy(st.booleans(), np.bool_), bool),
     "trace_params": ("bool", _or_numpy(st.booleans(), np.bool_), bool),
 }
@@ -140,8 +138,6 @@ class TestConfig:
             tiny_config(learning_rate=-1.0)
         with pytest.raises(ConfigurationError):
             tiny_config(loss="nope")
-        with pytest.raises(ConfigurationError):
-            tiny_config(ideal_update="sometimes")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -417,11 +413,6 @@ class TestTrainingLoop:
         for layer in head0:
             assert np.array_equal(model.params[layer.weights], fresh.params[layer.weights])
             assert np.array_equal(model.params[layer.biases], fresh.params[layer.biases])
-
-    def test_ideal_update_mode_changes_trajectory(self):
-        before = train_copsl(tiny_config(iterations=15), ZDT_PAIR)[1]
-        after = train_copsl(tiny_config(iterations=15, ideal_update="after-loss"), ZDT_PAIR)[1]
-        assert before.total_loss != after.total_loss
 
 
 def count_filter_calls(monkeypatch) -> list[int]:
