@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     front = sub.add_parser("front", help="export per-problem fronts from a checkpoint")
     front.add_argument("--checkpoint", required=True)
-    front.add_argument("--grid", type=int, default=100, help="preference grid size")
+    front.add_argument("--grid", type=int, help="preference grid size (default: the one training scores)")
     front.add_argument("--out", required=True, help="output CSV (suffixed per problem)")
     front.add_argument("--suite", help="suite name, or one or more comma-separated problem names")
     front.set_defaults(func=cmd_front)

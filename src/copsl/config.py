@@ -93,7 +93,6 @@ _RULES = {
     "seed": (_INTEGER, _at_least(0)),
     "eval_grid": (_INTEGER, _at_least(0)),
     "eval_interval": (_INTEGER, _at_least(1)),
-    "strict_weight_gating": (_BOOL, None),
     "trace_params": (_BOOL, None),
 }
 
@@ -119,8 +118,7 @@ class RunConfig:
 
     ``suite`` is a built-in suite name, one or more comma-separated problem
     names, or a list of registered problem names. ``eval_grid`` of 0 picks
-    the default evaluation grid size (100 preferences for two objectives, a
-    105-point lattice for three).
+    :func:`uniform_preference_grid`'s default size.
     """
 
     suite: object = "synthetic-2d"
@@ -140,7 +138,6 @@ class RunConfig:
     seed: int = 0
     eval_grid: int = 0
     eval_interval: int = 10
-    strict_weight_gating: bool = False
     trace_params: bool = False
 
     def __post_init__(self):
@@ -180,7 +177,7 @@ class RunConfig:
             shared_depth=self.shared_depth,
             output_dims=suite.output_dims,
         )
-        grid = uniform_preference_grid(m, self.eval_grid or (100 if m == 2 else 105))
+        grid = uniform_preference_grid(m, self.eval_grid or None)
         return arch, weights, alpha, grid
 
     def loss_spec(self) -> LossSpec:

@@ -10,6 +10,8 @@ sampling scheme.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .errors import ConfigurationError, InputError
@@ -102,13 +104,17 @@ def sample_preferences(rng: RngStream, alpha, batch_size: int) -> np.ndarray:
     return np.maximum(prefs, MIN_PREFERENCE, out=prefs)
 
 
-def uniform_preference_grid(num_objectives: int, count: int) -> np.ndarray:
+def uniform_preference_grid(num_objectives: int, count: Optional[int] = None) -> np.ndarray:
     """Deterministic preference vectors covering the simplex.
 
     For two objectives this is the uniform subdivision (k/(count-1),
     1 - k/(count-1)). For three objectives it is the simplex lattice with the
     largest density H whose size (H+1)(H+2)/2 does not exceed ``count``.
+    ``count`` None is the default that training scores and ``copsl front``
+    exports: 100 points for two objectives, the 105-point lattice for three.
     """
+    if count is None:
+        count = 100 if num_objectives == 2 else 105
     if num_objectives == 2:
         if count < 2:
             raise ConfigurationError(f"grid needs at least 2 points, got {count}")

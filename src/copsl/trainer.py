@@ -162,10 +162,8 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
         model.params, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
     tracker = IdealPointTracker(suite.num_mops, suite.num_objectives)
-    heads = [layer for layer in param_layout(arch) if layer.mop is not None]
-    output_layers = {layer.mop: layer for layer in heads}  # the last layer of each head
-    # Strict gating zeroes, every step, the gradient of each head whose problem weighs 0.
-    frozen = [layer.span for layer in heads if config.strict_weight_gating and weights[layer.mop] == 0.0]
+    # The last layer of each head: what a non-finite decision gradient names.
+    output_layers = {layer.mop: layer for layer in param_layout(arch) if layer.mop is not None}
     spec = config.loss_spec()
     record = RunRecord(
         config=config.to_dict(),
@@ -207,8 +205,6 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
             output_grads.append(decision_grads)
 
         grads = backward_all(model, caches, output_grads, weights)
-        for span in frozen:
-            grads[span] = 0.0
         if not np.isfinite(grads).all():
             bad = nonfinite_layers(arch, grads)
             raise TrainingDivergedError(_nonfinite_gradient_message(bad, suite, iteration))
@@ -226,8 +222,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
 
 def train_psl(config: RunConfig, problem: MopDefinition) -> tuple[CoPslModel, RunRecord]:
     """Train the single-problem baseline: the same loop on a singleton suite, named in the config."""
-    weights = (1.0,) if config.weights is None else config.weights
-    single = dataclasses.replace(config, suite=(problem.name,), weights=weights)
+    single = dataclasses.replace(config, suite=(problem.name,), weights=(1.0,))
     return train_copsl(single, ProblemSuite((problem,)))
 
 

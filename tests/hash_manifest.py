@@ -12,10 +12,10 @@ promise unchanged output compare digests between the parent and the change.
 The set covers:
 - acceptance criterion 9's training config, seeds 0-9 (loss and eval CSVs,
   checkpoints);
-- a ``dtlz2`` run and six short runs of the default suite (default, gated
-  weights, fully separate, ``cosmos`` with shared depth 2, ``ls``, and
-  ``mtch`` with a Dirichlet alpha of 0.5), each with its per-iteration
-  parameter trace;
+- a ``dtlz2`` run and six short runs of the default suite (default,
+  ``zeroweight`` with two problems weighted 0, fully separate, ``cosmos``
+  with shared depth 2, ``ls``, and ``mtch`` with a Dirichlet alpha of 0.5),
+  each with its per-iteration parameter trace;
 - three ablations: zdt1+zdt2, the default suite with ``cosmos``, and a config
   that fails (``weights`` of the wrong length, a configuration error);
 - ``copsl front`` and ``copsl hv`` at a small and a large front size on a
@@ -77,10 +77,7 @@ RUNS = {
     "crit9": (CRITERION_9, range(10)),
     "dtlz2": ({**BASE, "suite": ["dtlz2"], "iterations": 60, "trace_params": True}, [3]),
     "default": ({**BASE, "trace_params": True}, [0]),
-    "gated": (
-        {**BASE, "weights": [1, 0, 1, 0, 1, 1], "strict_weight_gating": True, "iterations": 40, "trace_params": True},
-        [1],
-    ),
+    "zeroweight": ({**BASE, "weights": [1, 0, 1, 0, 1, 1], "iterations": 40, "trace_params": True}, [1]),
     "depth0": ({**BASE, "shared_depth": 0, "trace_params": True}, [2]),
     "cosmos2": ({**BASE, "shared_depth": 2, "loss": "cosmos", "iterations": 40, "trace_params": True}, [4]),
     "ls": ({**BASE, "loss": "ls", "trace_params": True}, [5]),

@@ -95,7 +95,7 @@ class TestRun:
             ({"config_version": True}, "unsupported config_version True, expected 1"),
             ({"config_version": 1.0}, "unsupported config_version 1.0, expected 1"),
             ({"trace_params": "false"}, "trace_params must be true or false, got 'false'"),
-            ({"strict_weight_gating": 0}, "strict_weight_gating must be true or false, got 0"),
+            ({"trace_params": 0}, "trace_params must be true or false, got 0"),
             ({"weights": "12"}, "weights must be a list of real numbers or null, got '12'"),
             ({"dirichlet_alpha": [True, 2]}, "dirichlet_alpha must be a list of real numbers or null, got [True, 2]"),
             ({"hidden_sizes": 5}, "hidden_sizes must be integers, got 5"),
@@ -108,6 +108,7 @@ class TestRun:
             pytest.param({"hidden_sizes": [10**20]}, TOO_LARGE, id="hidden-size-1e20"),
             ({"cosmos_sign": -1}, "unknown config keys: ['cosmos_sign']"),
             ({"ideal_update": "before-loss"}, "unknown config keys: ['ideal_update']"),
+            ({"strict_weight_gating": False}, "unknown config keys: ['strict_weight_gating']"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):
@@ -262,6 +263,20 @@ class TestFront:
             points, ref = read_front_csv(str(tmp_path / f"front_{name}.csv"))
             assert points.shape[0] <= 12
             assert np.array_equal(ref, [1.1, 1.1])
+
+    @pytest.mark.parametrize("suite", [["dtlz2"], ["zdt1", "zdt2"]], ids=["dtlz2", "zdt1-zdt2"])
+    def test_default_grid_is_the_one_training_scores(self, tmp_path, capsys, suite):
+        config = write_config(tmp_path / "c.json", suite=suite, iterations=20, eval_grid=0, eval_interval=20)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        record = json.loads((out / "run_seed0.json").read_text())
+        front_out = tmp_path / "front.csv"
+        assert main(["front", "--checkpoint", str(out / "model_seed0.ckpt"), "--out", str(front_out)]) == 0
+        capsys.readouterr()
+        for i, name in enumerate(record["mop_names"]):
+            path = front_out if len(suite) == 1 else tmp_path / f"front_{name}.csv"
+            assert main(["hv", "--front", str(path)]) == 0
+            assert capsys.readouterr().out == format(record["hv"][-1][i], ".12g") + "\n"
 
     def test_suite_that_is_not_the_checkpoints_heads_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")

@@ -37,6 +37,7 @@ def test_config_table_lists_every_key_in_field_order():
 
 
 def test_artifacts_list_every_record_key_in_field_order():
-    record = TEXT.split("`run_seed<S>.json`", 1)[1].split("\n- `", 1)[0]
+    artifacts = TEXT.split("\n### Artifacts\n", 1)[1]
+    record = artifacts.split("`run_seed<S>.json`", 1)[1].split("\n- `", 1)[0]
     keys = re.findall(r"^  - `([a-z_]+)`:", record, flags=re.MULTILINE)
     assert keys == [f.name for f in dataclasses.fields(RunRecord)]

@@ -76,7 +76,6 @@ CONFIG_FIELDS = {
     "seed": ("integer", _or_numpy(st.integers(0, 2**63 - 1), np.int64), int),
     "eval_grid": ("integer", _or_numpy(st.integers(0, 500), np.int32), int),
     "eval_interval": ("integer", _or_numpy(_INTEGER, np.int64), int),
-    "strict_weight_gating": ("bool", _or_numpy(st.booleans(), np.bool_), bool),
     "trace_params": ("bool", _or_numpy(st.booleans(), np.bool_), bool),
 }
 
@@ -153,7 +152,7 @@ class TestConfig:
             ("epsilon", True),
             ("gamma", "x"),
             ("trace_params", "false"),
-            ("strict_weight_gating", 0),
+            ("trace_params", 0),
             ("weights", "12"),
             ("dirichlet_alpha", (True, 2)),
             ("hidden_sizes", 5),
@@ -286,6 +285,13 @@ class TestTrainingLoop:
         assert from_copsl.param_trace == from_psl.param_trace
         assert from_copsl.total_loss == from_psl.total_loss
 
+    def test_baseline_ignores_the_suites_weights(self):
+        weighted = tiny_config(suite=("zdt1",), weights=(1.0,), iterations=6, trace_params=True)
+        _, expected = train_psl(weighted, get_problem("zdt1"))
+        _, baseline = train_psl(tiny_config(weights=(1, 2), iterations=6, trace_params=True), get_problem("zdt1"))
+        assert baseline.config["weights"] == [1.0]
+        assert baseline.param_trace == expected.param_trace
+
     def test_baseline_record_config_reruns_bitwise(self):
         _, baseline = train_psl(tiny_config(iterations=6, trace_params=True), get_problem("zdt1"))
         assert (baseline.config["suite"], baseline.config["weights"]) == (["zdt1"], [1.0])
@@ -401,18 +407,17 @@ class TestTrainingLoop:
         train_copsl(cfg, ZDT_PAIR)
         assert observed["count"] == 6
 
-    def test_strict_gating_freezes_zero_weight_heads(self):
-        cfg = tiny_config(weights=(0.0, 1.0), strict_weight_gating=True, iterations=8)
-        model, _ = train_copsl(cfg, ZDT_PAIR)
-        fresh, _ = train_copsl(tiny_config(weights=(0.0, 1.0), strict_weight_gating=True, iterations=1), ZDT_PAIR)
-        # Head 0 must be bitwise identical to its initialization; rebuild the
-        # initial model by training zero iterations is not possible, so
-        # compare across run lengths instead.
+    def test_zero_weight_head_still_trains_on_its_own_loss(self):
+        # A weight of 0 takes problem 0 out of the trunk's gradient only:
+        # its head keeps moving, and so does its loss.
+        model, record = train_copsl(tiny_config(weights=(0.0, 1.0), iterations=8), ZDT_PAIR)
+        early, _ = train_copsl(tiny_config(weights=(0.0, 1.0), iterations=1), ZDT_PAIR)
         head0 = [layer for layer in param_layout(model.arch) if layer.mop == 0]
         assert head0
         for layer in head0:
-            assert np.array_equal(model.params[layer.weights], fresh.params[layer.weights])
-            assert np.array_equal(model.params[layer.biases], fresh.params[layer.biases])
+            assert not np.array_equal(model.params[layer.weights], early.params[layer.weights])
+            assert not np.array_equal(model.params[layer.biases], early.params[layer.biases])
+        assert len({losses[0] for losses in record.mop_losses}) > 1
 
 
 def count_filter_calls(monkeypatch) -> list[int]:
