@@ -3,8 +3,8 @@
 Each command parses its arguments and calls the library: a config file is
 read by :func:`copsl.config.load_config`, training and its series files are
 :mod:`copsl.trainer`'s. Exit codes: 0 on full success, 1 when at least one
-training run failed, 2 on configuration or usage errors. All artifacts are
-written atomically.
+training run failed, 2 on configuration or usage errors, an output path that
+cannot be written among them. All artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import RunConfig, default_config_json, load_config
 from .errors import CheckpointError, ConfigurationError, CopslError, InputError, UnsupportedError
+from .ioutil import writing
 from .metrics import hypervolume, read_front_csv, write_front_csv
 from .model import load_checkpoint
 from .problems import suite_from_spec
@@ -31,7 +32,8 @@ def _run_inputs(args) -> tuple[RunConfig, list[int], str]:
     """The config, the seeds and the output directory, made if missing, of ``run`` or ``ablate``."""
     config = load_config(args.config)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV, "copsl-out")
-    os.makedirs(out_dir, exist_ok=True)
+    with writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     return config, args.seed or [config.seed], out_dir
 
 
@@ -67,13 +69,10 @@ def cmd_front(args) -> int:
     grid = uniform_preference_grid(suite.num_objectives, args.grid)
     fronts = model_fronts(model, suite, grid)
     stem, ext = os.path.splitext(args.out)
-    ext = ext or ".csv"
-    written = []
-    for mop, front in zip(suite.problems, fronts):
-        path = args.out if suite.num_mops == 1 else f"{stem}_{mop.name}{ext}"
+    paths = [args.out] if suite.num_mops == 1 else [f"{stem}_{mop.name}{ext or '.csv'}" for mop in suite.problems]
+    for path, mop, front in zip(paths, suite.problems, fronts):
         write_front_csv(path, front, mop.reference_point)
-        written.append(path)
-    for path in written:
+    for path in paths:
         print(f"wrote {path}")
     return 0
 

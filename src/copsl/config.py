@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import ModelArchitecture
 from .problems import ProblemSuite, _suite_names, suite_from_spec
-from .sampling import uniform_preference_grid
+from .sampling import MIN_DIRICHLET_ALPHA, uniform_preference_grid
 from .scalarize import LossSpec
 
 CONFIG_VERSION = 1
@@ -70,8 +70,8 @@ _OPTIONAL_REALS = (
     lambda value: None if value is None else tuple(map(float, value)),
 )
 _SUITE = ("", lambda value: True, lambda value: tuple(value) if isinstance(value, (list, tuple)) else value)
-_UNIT_INTERVAL = ("lie in [0, 1)", lambda value: 0.0 <= value < 1.0)
 _POSITIVE = ("be finite and positive", lambda value: 0.0 < value < math.inf)
+_ALPHA = (f"be finite and >= {MIN_DIRICHLET_ALPHA}", lambda value: MIN_DIRICHLET_ALPHA <= value < math.inf)
 
 # One rule per field, in field order: its kind, and the range the config owns
 # (None where a domain type owns it, or where any value of the kind will do).
@@ -83,10 +83,7 @@ _RULES = {
     "iterations": (_INTEGER, _at_least(1)),
     "batch_size": (_INTEGER, _at_least(1)),
     "learning_rate": (_REAL, _POSITIVE),
-    "adam_beta1": (_REAL, _UNIT_INTERVAL),
-    "adam_beta2": (_REAL, _UNIT_INTERVAL),
-    "adam_epsilon": (_REAL, _POSITIVE),
-    "dirichlet_alpha": (_OPTIONAL_REALS, _each(*_POSITIVE)),
+    "dirichlet_alpha": (_OPTIONAL_REALS, _each(*_ALPHA)),
     "weights": (_OPTIONAL_REALS, _each("be finite and nonnegative", lambda value: 0.0 <= value < math.inf)),
     "hidden_sizes": (_INTEGERS, None),
     "shared_depth": (_INTEGER, None),
@@ -128,9 +125,6 @@ class RunConfig:
     iterations: int = 500
     batch_size: int = 15
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     dirichlet_alpha: Optional[tuple[float, ...]] = None
     weights: Optional[tuple[float, ...]] = None
     hidden_sizes: tuple[int, ...] = (256, 256)

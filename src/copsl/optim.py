@@ -22,30 +22,21 @@ from .errors import InternalError
 # stay cache-sized instead of adding whole-vector copies to peak memory.
 CHUNK = 1 << 15
 
+# The moment decays and the stability constant: Kingma & Ba's (2015) defaults.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second moment vectors laid out like the parameter vector."""
+    """The step count and the first/second moment vectors, laid out like the parameter vector."""
 
-    beta1: float
-    beta2: float
-    epsilon: float
     step: int
     first_moment: np.ndarray
     second_moment: np.ndarray
 
 
-def init_adam_state(
-    params: np.ndarray, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8
-) -> AdamState:
-    return AdamState(
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        step=0,
-        first_moment=np.zeros_like(params),
-        second_moment=np.zeros_like(params),
-    )
+def init_adam_state(params: np.ndarray) -> AdamState:
+    return AdamState(step=0, first_moment=np.zeros_like(params), second_moment=np.zeros_like(params))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float) -> None:
@@ -62,15 +53,15 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, learning_
     if grads.shape != params.shape:
         raise InternalError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
     t = state.step + 1
-    correction = math.sqrt(1.0 - state.beta2**t)
-    step_size = learning_rate * correction / (1.0 - state.beta1**t)
-    epsilon_hat = state.epsilon * correction
+    correction = math.sqrt(1.0 - BETA2**t)
+    step_size = learning_rate * correction / (1.0 - BETA1**t)
+    epsilon_hat = EPSILON * correction
     for start in range(0, params.size, CHUNK):
         part = slice(start, start + CHUNK)
         p, g, m, v = params[part], grads[part], state.first_moment[part], state.second_moment[part]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         p -= step_size * m / (np.sqrt(v) + epsilon_hat)
     state.step = t

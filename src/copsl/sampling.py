@@ -24,6 +24,10 @@ RNG_ALGORITHM = "philox4x64-10/generator-gamma"
 # losses never divide by zero.
 MIN_PREFERENCE = 1e-6
 
+# The smallest Dirichlet parameter sampled: a Gamma(alpha) draw underflows to 0
+# with probability about exp(-744 * alpha), so at 1e-8 redrawing all-zero rows all but never ends.
+MIN_DIRICHLET_ALPHA = 1e-3
+
 
 class RngStream:
     """Seeded random stream backed by the Philox counter-based generator.
@@ -76,17 +80,17 @@ def sample_preferences(rng: RngStream, alpha, batch_size: int) -> np.ndarray:
 
     The (batch_size, len(alpha)) block of gamma draws comes from one
     :meth:`RngStream.gamma` call; a row whose draws all underflow to zero
-    (likely only for tiny alpha) is drawn again. Each row is normalized to
-    the simplex, then clamped below at MIN_PREFERENCE and renormalized so no
-    component is exactly zero.
+    (likely only for alpha near MIN_DIRICHLET_ALPHA) is drawn again. Each
+    row is normalized to the simplex, then clamped below at MIN_PREFERENCE
+    and renormalized so no component is exactly zero.
 
     Returns an array of shape (batch_size, len(alpha)).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim != 1 or alpha.size < 2:
         raise InputError("alpha must be a vector of at least two entries")
-    if not (alpha > 0.0).all():
-        raise InputError(f"Dirichlet parameters must be positive, got {alpha.tolist()}")
+    if not (alpha >= MIN_DIRICHLET_ALPHA).all():
+        raise InputError(f"Dirichlet parameters must be >= {MIN_DIRICHLET_ALPHA}, got {alpha.tolist()}")
     if batch_size < 1:
         raise InputError(f"batch size must be >= 1, got {batch_size}")
 

@@ -158,9 +158,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
     arch, weights, alpha, grid = config.check_suite(suite)
     pref_rng = RngStream(config.seed, stream=1)
     model = build_model(arch, RngStream(config.seed, stream=0))
-    adam = init_adam_state(
-        model.params, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
-    )
+    adam = init_adam_state(model.params)
     tracker = IdealPointTracker(suite.num_mops, suite.num_objectives)
     # The last layer of each head: what a non-finite decision gradient names.
     output_layers = {layer.mop: layer for layer in param_layout(arch) if layer.mop is not None}

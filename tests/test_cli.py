@@ -79,9 +79,9 @@ class TestRun:
             ({"seed": "x"}, "seed must be an integer, got 'x'"),
             ({"hidden_sizes": [8.5]}, "hidden_sizes must be integers, got [8.5]"),
             ({"weights": ["x", 1.0]}, "weights must be a list of real numbers or null, got ['x', 1.0]"),
-            ({"adam_beta1": 1.0}, "adam_beta1 must lie in [0, 1), got 1.0"),
-            ({"adam_beta2": 1.5}, "adam_beta2 must lie in [0, 1), got 1.5"),
-            ({"adam_epsilon": -1.0}, "adam_epsilon must be finite and positive, got -1.0"),
+            ({"adam_beta1": 0.9}, "unknown config keys: ['adam_beta1']"),
+            ({"adam_beta2": 0.999}, "unknown config keys: ['adam_beta2']"),
+            ({"adam_epsilon": 1e-8}, "unknown config keys: ['adam_epsilon']"),
             ({"learning_rate": math.inf}, "learning_rate must be finite and positive, got inf"),
             ({"loss": "cosmos", "gamma": math.inf}, "gamma must be finite, got inf"),
             ({"seed": -5}, "seed must be >= 0, got -5"),
@@ -101,10 +101,10 @@ class TestRun:
             ({"hidden_sizes": 5}, "hidden_sizes must be integers, got 5"),
             ({"weights": 5}, "weights must be a list of real numbers or null, got 5"),
             pytest.param({"gamma": 10**400}, f"gamma must be a real number, got {10**400}", id="gamma-401-digits"),
-            ({"adam_epsilon": math.inf}, "adam_epsilon must be finite and positive, got inf"),
+            ({"dirichlet_alpha": [1e-20, 1e-20]}, "dirichlet_alpha must be finite and >= 0.001, got [1e-20, 1e-20]"),
             ({"suite": "zdt1,zdt1"}, "a problem suite cannot repeat a problem, got 'zdt1' more than once"),
             ({"weights": [1.0, -1.0]}, "weights must be finite and nonnegative, got [1.0, -1.0]"),
-            ({"dirichlet_alpha": [1.0, 0.0]}, "dirichlet_alpha must be finite and positive, got [1.0, 0.0]"),
+            ({"dirichlet_alpha": [1.0, 0.0]}, "dirichlet_alpha must be finite and >= 0.001, got [1.0, 0.0]"),
             pytest.param({"hidden_sizes": [10**20]}, TOO_LARGE, id="hidden-size-1e20"),
             ({"cosmos_sign": -1}, "unknown config keys: ['cosmos_sign']"),
             ({"ideal_update": "before-loss"}, "unknown config keys: ['ideal_update']"),
@@ -169,6 +169,16 @@ class TestRun:
             "seed 0 failed: non-finite objective values for MOP 'zdt1-nan' (index 0) at iteration 1\n"
         )
 
+    def test_record_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        (out / "run_seed0.json").mkdir(parents=True)
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {str(out / 'run_seed0.json')!r}: Is a directory\n"
+        assert [path.name for path in out.iterdir()] == ["run_seed0.json"]  # no temporary file left
+
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path / "c.json")
         monkeypatch.setenv("COPSL_OUT_DIR", str(tmp_path / "envout"))
@@ -186,6 +196,18 @@ def test_help_documents_the_shared_arguments(command, capsys, monkeypatch):
     text = capsys.readouterr().out
     for documented in ("path to a JSON run config", "seed (repeatable)", "$COPSL_OUT_DIR"):
         assert documented in text
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_out_that_is_a_file_exits_2_before_training(command, tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "afile"
+    out.write_text("")
+    monkeypatch.setattr("copsl.trainer.train_copsl", lambda *args: pytest.fail("a run started"))
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {str(out)!r}: File exists\n"
 
 
 class TestAblate:
@@ -302,6 +324,16 @@ class TestFront:
         points, ref = read_front_csv(str(front_out))
         assert 1 <= points.shape[0] <= 7
         assert np.array_equal(ref, [1.1, 1.1])
+
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        checkpoint = str(tmp_path / "one.ckpt")
+        save_checkpoint(build_model(ModelArchitecture(2, (4,), 1, (6,)), RngStream(0)), checkpoint)
+        (tmp_path / "afile").write_text("")
+        front_out = str(tmp_path / "afile" / "front.csv")
+        assert main(["front", "--checkpoint", checkpoint, "--suite", "zdt1", "--out", front_out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {front_out!r}: File exists\n"
 
     def test_checkpoint_of_a_one_problem_suite_string(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", suite="zdt1")

@@ -107,6 +107,11 @@ class TestPreferences:
         with pytest.raises(InputError):
             sample_preferences(RngStream(0), (1.0, 0.0), 5)
 
+    def test_rejects_alpha_below_the_floor(self):
+        # Every Gamma(1e-20) draw underflows to 0, so redrawing would never end.
+        with pytest.raises(InputError, match=r"^Dirichlet parameters must be >= 0\.001, got \[1e-20, 1e-20\]$"):
+            sample_preferences(RngStream(0, 1), (1e-20, 1e-20), 15)
+
     def test_rejects_bad_batch(self):
         with pytest.raises(InputError):
             sample_preferences(RngStream(0), (1.0, 1.0), 0)
