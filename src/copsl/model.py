@@ -207,13 +207,14 @@ def predict(model: CoPslModel, preferences) -> list[np.ndarray]:
     return _forward(model, _check_preferences(preferences, model.arch.num_objectives), None)
 
 
-def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) -> np.ndarray:
+def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights, grads: np.ndarray) -> np.ndarray:
     """Route gradients: own loss per head, weighted sum into the trunk.
 
     ``output_grads[i]`` is dL_i/d(head-i output), of that output's shape.
-    Returns one flat vector laid out like ``model.params``: head i's part is
-    exactly the backpropagation of L_i, the trunk's part the backpropagation
-    of sum_i w_i L_i, with ``weights`` as :meth:`RunConfig.check_suite` checked them.
+    Fills and returns ``grads``, laid out like ``model.params``: head i's part
+    is exactly the backpropagation of L_i, the trunk's part that of sum_i w_i
+    L_i, with ``weights`` as :meth:`RunConfig.check_suite` checked them. The
+    caller owns ``grads``; each call overwrites all of it, so it needs no zeroing.
     """
     arch = model.arch
     if len(output_grads) != arch.num_mops:
@@ -221,7 +222,6 @@ def backward_all(model: CoPslModel, caches: list[tuple], output_grads, weights) 
 
     layout = param_layout(arch)
     trunk, heads = layer_groups(arch)
-    grads = np.empty_like(model.params)
 
     def backprop(positions, upstream):
         for k in reversed(positions):

@@ -1,10 +1,10 @@
 """End-to-end training: sample preferences, forward, scalarize, backpropagate.
 
-One run owns its model, random streams, ideal-point tracker, and optimizer
-state, and is strictly sequential, so a (config, seed) pair fully determines
-every recorded series. Initialization and preference sampling consume from
-separate substreams of the same seed, which keeps preference sequences
-identical across architecture variants trained with paired seeds.
+One run owns its model, random streams, ideal-point tracker, gradient and
+optimizer state, and is strictly sequential, so a (config, seed) pair fully
+determines every recorded series. Initialization and preference sampling
+consume from separate substreams of the same seed, which keeps preference
+sequences identical across architecture variants trained with paired seeds.
 
 Here are the run record, the loop, the drivers for seeds and the ablation,
 and their CSV writers; the run config is :mod:`copsl.config`'s.
@@ -159,6 +159,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
     pref_rng = RngStream(config.seed, stream=1)
     model = build_model(arch, RngStream(config.seed, stream=0))
     adam = init_adam_state(model.params)
+    grads = np.empty_like(model.params)
     tracker = IdealPointTracker(suite.num_mops, suite.num_objectives)
     # The last layer of each head: what a non-finite decision gradient names.
     output_layers = {layer.mop: layer for layer in param_layout(arch) if layer.mop is not None}
@@ -202,7 +203,7 @@ def train_copsl(config: RunConfig, suite: Optional[ProblemSuite] = None) -> tupl
             mop_losses.append(loss_value)
             output_grads.append(decision_grads)
 
-        grads = backward_all(model, caches, output_grads, weights)
+        backward_all(model, caches, output_grads, weights, grads)
         if not np.isfinite(grads).all():
             bad = nonfinite_layers(arch, grads)
             raise TrainingDivergedError(_nonfinite_gradient_message(bad, suite, iteration))

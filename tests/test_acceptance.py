@@ -120,7 +120,8 @@ def _pipeline_loss_and_grads(mop, model, prefs, ideals, spec):
         losses.append(value)
         output_grads.append(chain_to_decision(grad_f, mop.jacobian(x), mop.bounds.widths))
     weights = np.ones(len(outputs))
-    return total_loss(losses, weights), backward_all(model, caches, output_grads, weights)
+    grads = backward_all(model, caches, output_grads, weights, np.empty_like(model.params))
+    return total_loss(losses, weights), grads
 
 
 def test_criterion_2_end_to_end_gradient_integrity():

@@ -18,6 +18,11 @@ from copsl.sampling import RngStream
 TOO_LARGE = "the model is too large: its parameters would not fit in one float64 array"
 
 
+def row(number, overrides, message):
+    """One bad-config case, its id fixed by its number, so deleting a row renames no other."""
+    return pytest.param(overrides, message, id=f"overrides{number}-{message}")
+
+
 def write_config(path, **overrides):
     data = {"config_version": CONFIG_VERSION}
     data.update(RunConfig().to_dict())
@@ -72,43 +77,43 @@ class TestRun:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"hidden_sizes": [8], "shared_depth": 3}, "shared_depth must lie in [0, 1], got 3"),
-            ({"weights": [1.0]}, "expected 2 MOP weights, got 1"),
-            ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
-            ({"eval_interval": 2.5}, "eval_interval must be an integer, got 2.5"),
-            ({"seed": "x"}, "seed must be an integer, got 'x'"),
-            ({"hidden_sizes": [8.5]}, "hidden_sizes must be integers, got [8.5]"),
-            ({"weights": ["x", 1.0]}, "weights must be a list of real numbers or null, got ['x', 1.0]"),
-            ({"adam_beta1": 0.9}, "unknown config keys: ['adam_beta1']"),
-            ({"adam_beta2": 0.999}, "unknown config keys: ['adam_beta2']"),
-            ({"adam_epsilon": 1e-8}, "unknown config keys: ['adam_epsilon']"),
-            ({"learning_rate": math.inf}, "learning_rate must be finite and positive, got inf"),
-            ({"loss": "cosmos", "gamma": math.inf}, "gamma must be finite, got inf"),
-            ({"seed": -5}, "seed must be >= 0, got -5"),
-            ({"suite": 5}, "suite must be a suite name or a list of problem names, got 5"),
-            ({"suite": None}, "suite must be a suite name or a list of problem names, got None"),
-            ({"suite": {"zdt1": 1}}, "suite must be a suite name or a list of problem names, got {'zdt1': 1}"),
-            ({"learning_rate": True}, "learning_rate must be a real number, got True"),
-            ({"eval_grid": 1}, "grid needs at least 2 points, got 1"),
-            ({"suite": [None]}, "suite must be a suite name or a list of problem names, got [None]"),
-            ({"suite": [1, 2]}, "suite must be a suite name or a list of problem names, got [1, 2]"),
-            ({"config_version": True}, "unsupported config_version True, expected 1"),
-            ({"config_version": 1.0}, "unsupported config_version 1.0, expected 1"),
-            ({"trace_params": "false"}, "trace_params must be true or false, got 'false'"),
-            ({"trace_params": 0}, "trace_params must be true or false, got 0"),
-            ({"weights": "12"}, "weights must be a list of real numbers or null, got '12'"),
-            ({"dirichlet_alpha": [True, 2]}, "dirichlet_alpha must be a list of real numbers or null, got [True, 2]"),
-            ({"hidden_sizes": 5}, "hidden_sizes must be integers, got 5"),
-            ({"weights": 5}, "weights must be a list of real numbers or null, got 5"),
+            row(0, {"hidden_sizes": [8], "shared_depth": 3}, "shared_depth must lie in [0, 1], got 3"),
+            row(1, {"weights": [1.0]}, "expected 2 MOP weights, got 1"),
+            row(2, {"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+            row(3, {"eval_interval": 2.5}, "eval_interval must be an integer, got 2.5"),
+            row(4, {"seed": "x"}, "seed must be an integer, got 'x'"),
+            row(5, {"hidden_sizes": [8.5]}, "hidden_sizes must be integers, got [8.5]"),
+            row(6, {"weights": ["x", 1.0]}, "weights must be a list of real numbers or null, got ['x', 1.0]"),
+            row(7, {"adam_beta1": 0.9}, "unknown config keys: ['adam_beta1']"),
+            row(8, {"adam_beta2": 0.999}, "unknown config keys: ['adam_beta2']"),
+            row(9, {"adam_epsilon": 1e-8}, "unknown config keys: ['adam_epsilon']"),
+            row(10, {"learning_rate": math.inf}, "learning_rate must be finite and positive, got inf"),
+            row(11, {"loss": "cosmos", "gamma": math.inf}, "gamma must be finite, got inf"),
+            row(12, {"seed": -5}, "seed must be >= 0, got -5"),
+            row(13, {"suite": 5}, "suite must be a suite name or a list of problem names, got 5"),
+            row(14, {"suite": None}, "suite must be a suite name or a list of problem names, got None"),
+            row(15, {"suite": {"zdt1": 1}}, "suite must be a suite name or a list of problem names, got {'zdt1': 1}"),
+            row(16, {"learning_rate": True}, "learning_rate must be a real number, got True"),
+            row(17, {"eval_grid": 1}, "grid needs at least 2 points, got 1"),
+            row(18, {"suite": [None]}, "suite must be a suite name or a list of problem names, got [None]"),
+            row(19, {"suite": [1, 2]}, "suite must be a suite name or a list of problem names, got [1, 2]"),
+            row(20, {"config_version": True}, "unsupported config_version True, expected 1"),
+            row(21, {"config_version": 1.0}, "unsupported config_version 1.0, expected 1"),
+            row(22, {"trace_params": "false"}, "trace_params must be true or false, got 'false'"),
+            row(23, {"trace_params": 0}, "trace_params must be true or false, got 0"),
+            row(24, {"weights": "12"}, "weights must be a list of real numbers or null, got '12'"),
+            row(25, {"dirichlet_alpha": [True, 2]}, "dirichlet_alpha must be a list of real numbers or null, got [True, 2]"),
+            row(26, {"hidden_sizes": 5}, "hidden_sizes must be integers, got 5"),
+            row(27, {"weights": 5}, "weights must be a list of real numbers or null, got 5"),
             pytest.param({"gamma": 10**400}, f"gamma must be a real number, got {10**400}", id="gamma-401-digits"),
-            ({"dirichlet_alpha": [1e-20, 1e-20]}, "dirichlet_alpha must be finite and >= 0.001, got [1e-20, 1e-20]"),
-            ({"suite": "zdt1,zdt1"}, "a problem suite cannot repeat a problem, got 'zdt1' more than once"),
-            ({"weights": [1.0, -1.0]}, "weights must be finite and nonnegative, got [1.0, -1.0]"),
-            ({"dirichlet_alpha": [1.0, 0.0]}, "dirichlet_alpha must be finite and >= 0.001, got [1.0, 0.0]"),
+            row(29, {"dirichlet_alpha": [1e-20, 1e-20]}, "dirichlet_alpha must be finite and >= 0.001, got [1e-20, 1e-20]"),
+            row(30, {"suite": "zdt1,zdt1"}, "a problem suite cannot repeat a problem, got 'zdt1' more than once"),
+            row(31, {"weights": [1.0, -1.0]}, "weights must be finite and nonnegative, got [1.0, -1.0]"),
+            row(32, {"dirichlet_alpha": [1.0, 0.0]}, "dirichlet_alpha must be finite and >= 0.001, got [1.0, 0.0]"),
             pytest.param({"hidden_sizes": [10**20]}, TOO_LARGE, id="hidden-size-1e20"),
-            ({"cosmos_sign": -1}, "unknown config keys: ['cosmos_sign']"),
-            ({"ideal_update": "before-loss"}, "unknown config keys: ['ideal_update']"),
-            ({"strict_weight_gating": False}, "unknown config keys: ['strict_weight_gating']"),
+            row(34, {"cosmos_sign": -1}, "unknown config keys: ['cosmos_sign']"),
+            row(35, {"ideal_update": "before-loss"}, "unknown config keys: ['ideal_update']"),
+            row(36, {"strict_weight_gating": False}, "unknown config keys: ['strict_weight_gating']"),
         ],
     )
     def test_bad_config_exits_2_before_training(self, tmp_path, capsys, overrides, message):

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copsl.errors import CheckpointError, ConfigurationError, InputError, InternalError
 from copsl.model import (
@@ -170,7 +172,8 @@ class TestBackwardRouting:
         self.grads_out = [rng.standard_normal(o.shape) for o in self.outputs]
 
     def run_backward(self, weights):
-        return backward_all(self.model, self.caches, self.grads_out, np.array(weights))
+        grads = np.empty_like(self.model.params)
+        return backward_all(self.model, self.caches, self.grads_out, np.array(weights), grads)
 
     def test_single_mop_weight_one_is_plain_backprop(self):
         arch = ModelArchitecture(2, (8,), 1, (4,))
@@ -178,7 +181,7 @@ class TestBackwardRouting:
         prefs = simplex_batch(14, 2, 3)
         outputs, caches = forward_all(model, prefs)
         g = [RngStream(15).standard_normal(outputs[0].shape)]
-        routed = backward_all(model, caches, g, np.array([1.0]))
+        routed = backward_all(model, caches, g, np.array([1.0]), np.empty_like(model.params))
         # Reference: plain backprop through the flat layer list, whose caches
         # forward_all returns in layout order.
         trunk, heads = trunk_and_heads(arch)
@@ -199,6 +202,7 @@ class TestBackwardRouting:
             self.caches,
             [np.zeros_like(self.grads_out[0]), self.grads_out[1]],
             np.array([1.0, 1.0]),
+            np.empty_like(self.model.params),
         )
         trunk0 = param_layout(self.arch)[0]
         assert np.array_equal(gated[trunk0.weights], silenced[trunk0.weights])
@@ -230,9 +234,34 @@ class TestBackwardRouting:
     def test_rejects_output_gradient_of_another_shape(self):
         # A (1, n) gradient would broadcast against the (batch, n) output
         # without an error; backward_all checks each head's shape once.
+        grads = np.empty_like(self.model.params)
         for bad in (self.grads_out[1][:1], self.grads_out[1][:, :3], self.grads_out[1].T):
             with pytest.raises(InternalError, match=r"head 1 output \(6, 4\)"):
-                backward_all(self.model, self.caches, [self.grads_out[0], bad], np.ones(2))
+                backward_all(self.model, self.caches, [self.grads_out[0], bad], np.ones(2), grads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shared_depth=st.integers(0, 2),
+    output_dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    widths=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    batch=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_backward_all_overwrites_every_element_of_its_buffer(shared_depth, output_dims, widths, batch, seed):
+    # The caller's buffer is reused across iterations without zeroing, so a
+    # run into a buffer full of NaN must equal, bit for bit, a run into a
+    # fresh one: no stale element survives.
+    arch = ModelArchitecture(2, widths, shared_depth, tuple(output_dims))
+    model = build_model(arch, RngStream(seed))
+    outputs, caches = forward_all(model, simplex_batch(seed + 1, 2, batch))
+    rng = RngStream(seed + 2)
+    output_grads = [rng.standard_normal(out.shape) for out in outputs]
+    weights = rng.uniform(0.0, 2.0, arch.num_mops)
+    fresh = backward_all(model, caches, output_grads, weights, np.zeros_like(model.params))
+    stale = np.full_like(model.params, np.nan)
+    assert backward_all(model, caches, output_grads, weights, stale) is stale
+    assert stale.tobytes() == fresh.tobytes()
 
 
 class TestCounts:

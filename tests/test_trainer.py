@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copsl.metrics as metrics_mod
+import copsl.model as model_mod
 import copsl.trainer as trainer_mod
 from copsl.cli import main as cli_main
 from copsl.errors import ConfigurationError, InputError, TrainingDivergedError
@@ -268,6 +270,23 @@ class TestTrainingLoop:
         assert a.total_loss == b.total_loss
         assert a.hv == b.hv
 
+    def test_traced_peak_holds_four_parameter_vectors(self):
+        # Parameters, gradient and Adam's two moments are each allocated once
+        # per run; a gradient vector allocated every iteration would overlap
+        # the previous one and bring the peak to about five vectors. An
+        # untraced run first fills the one-time caches, about 0.2 vectors.
+        config = RunConfig(iterations=4, eval_interval=4)
+        train_copsl(dataclasses.replace(config, iterations=1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model, _ = train_copsl(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert model.params.size == 404_772
+        assert peak <= 4.5 * model.params.nbytes
+
     def test_seeds_give_different_trajectories(self):
         a = train_copsl(tiny_config(seed=1), ZDT_PAIR)[1]
         b = train_copsl(tiny_config(seed=2), ZDT_PAIR)[1]
@@ -373,6 +392,21 @@ class TestTrainingLoop:
         assert "head 1 layer 1 (MOP 'broken')" in message
         assert "zdt2" not in message
 
+    def test_nonfinite_parameter_gradient_aborts_naming_the_layer(self, monkeypatch):
+        # Every decision gradient is finite, so only the check after the
+        # backward pass can catch the infinity planted in the trunk's weights.
+        real = model_mod.layer_backward
+
+        def planted(layer, params, cache, upstream, grads):
+            d_inputs = real(layer, params, cache, upstream, grads)
+            if layer.mop is None and layer.depth == 0:
+                grads[layer.weights.start] = np.inf
+            return d_inputs
+
+        monkeypatch.setattr(model_mod, "layer_backward", planted)
+        with pytest.raises(TrainingDivergedError, match="^non-finite gradient at iteration 1 in trunk layer 0$"):
+            train_copsl(tiny_config(), ZDT_PAIR)
+
     def test_weight_length_validated(self):
         with pytest.raises(ConfigurationError):
             train_copsl(tiny_config(weights=(1.0,)), ZDT_PAIR)
@@ -383,13 +417,14 @@ class TestTrainingLoop:
         observed = {"count": 0}
         real = backward_all
 
-        def spy(model, caches, output_grads, weights):
-            grads = real(model, caches, output_grads, weights)
+        def spy(model, caches, output_grads, weights, grads):
+            real(model, caches, output_grads, weights, grads)
             solo = real(
                 model,
                 caches,
                 [np.zeros_like(output_grads[0]), output_grads[1]],
                 np.array([1.0, 1.0]),
+                np.empty_like(grads),  # its own buffer: the trainer's holds the gradient Adam applies
             )
             for slot in param_layout(model.arch):
                 if slot.mop is None:
